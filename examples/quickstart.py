@@ -195,10 +195,8 @@ def main() -> None:
     #    packed events with a batched heap, interned key objects,
     #    numpy-vectorized owner-side BM25 (bitwise-identical to the
     #    scalar path; REPRO_PURE_PYTHON=1 forces the fallback) and
-    #    churn-local routing-table maintenance.  A network pins the
-    #    unoptimised kernel with ``kernel_profile="legacy"`` — results
-    #    are trace-identical, only the wall-clock differs.  The sweep
-    #    driver measures both::
+    #    churn-local routing-table maintenance.  The sweep driver runs
+    #    one network size per process::
     #
     #        PYTHONPATH=src python -m repro.eval.scale \
     #            --peers 10000 --queries 36 --churn 90 --json -
@@ -206,17 +204,17 @@ def main() -> None:
     #    benchmarks/bench_scale.py runs the full 1k -> 10k -> 100k
     #    sweep (BENCH_FULL=1) and writes BENCH_scale.json; read it by
     #    leg: ``events_per_sec`` is effective kernel throughput over
-    #    the churning workload phase (the fast/legacy comparison's
-    #    ``speedup`` gates >= 5x at 10k peers), ``bytes_per_query`` the
-    #    network cost, ``peak_rss_kb`` the per-leg process footprint,
-    #    and ``top_k_sha1`` fingerprints result equality across
-    #    profiles.  Here, a quick in-process taste at demo scale:
+    #    the churning workload phase, ``bytes_per_query`` the network
+    #    cost, ``peak_rss_kb`` the per-leg process footprint, and
+    #    ``index_fingerprint`` / ``top_k_sha1`` digest the built index
+    #    and the results.  Here, a quick in-process taste at demo
+    #    scale:
     from repro.eval.monitor import NetworkMonitor
     from repro.eval.scale import run_leg
 
     print("\nscale leg (800 peers, in-process demo size):")
     leg = run_leg(peers=800, documents=60, queries=6, churn_events=10,
-                  kernel_profile="fast", seed=42)
+                  seed=42)
     print(f"  {leg['events_processed']} events at "
           f"{leg['events_per_sec']:,.0f} events/s effective, "
           f"{leg['bytes_per_query']:,.0f} bytes/query, "
@@ -297,11 +295,10 @@ def main() -> None:
     #     resolves each publication batch's keys in one shared frontier
     #     walk with an epoch-scoped routing cache, so owner resolution
     #     stops re-routing keys the network already located.  The built
-    #     index is identical either way — bench_scale.py gates the
-    #     10k-peer indexing phase at >= 3x over the legacy kernel with
-    #     an equal state fingerprint (``index_speedup`` in
-    #     BENCH_scale.json); tests/test_index_equivalence.py pins the
-    #     per-knob equivalence contracts at seed size.
+    #     index is identical either way — tests/test_index_equivalence.py
+    #     pins the per-knob equivalence contracts at seed size, and
+    #     bench_scale.py's smoke leg pins the 1k-peer index's state
+    #     fingerprint.
     from repro.core.fingerprint import state_fingerprint
 
     plain = AlvisNetwork(num_peers=8, seed=42, config=AlvisConfig())

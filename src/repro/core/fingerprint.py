@@ -2,8 +2,8 @@
 
 Canonical home of :func:`state_fingerprint` — used by the cluster join
 handshake (two processes must have built identical twin networks), the
-scale-sweep legs (``repro.eval.scale``: fast and legacy profiles must
-build identical indexes), and the differential indexing tests
+scale-sweep legs (``repro.eval.scale``: the smoke leg's index is pinned
+to a golden digest), and the differential indexing tests
 (``tests/test_index_equivalence.py``).
 """
 

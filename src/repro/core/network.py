@@ -49,11 +49,11 @@ from repro.dht.ring import DHTRing
 from repro.dht.routing import FingerTableStrategy, HopSpaceFingers, uniform_ids
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
-from repro.ir.postings import PackedPostings, set_legacy_construction
+from repro.ir.postings import PackedPostings
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.message import Message, set_legacy_sizing
+from repro.net.message import Message
 from repro.net.transport import SimTransport, TransportBackend
-from repro.sim.events import LegacyEventQueue, Simulator
+from repro.sim.events import Simulator
 from repro.util.rng import make_rng
 
 __all__ = ["AlvisNetwork"]
@@ -70,43 +70,22 @@ class AlvisNetwork:
                  peer_ids: Optional[Sequence[int]] = None,
                  account_lookups: bool = True,
                  analyzer: Optional[Analyzer] = None,
-                 virtual_nodes: int = 1,
-                 kernel_profile: str = "fast"):
+                 virtual_nodes: int = 1):
         if num_peers <= 0:
             raise ValueError(f"num_peers must be positive, got {num_peers}")
         if virtual_nodes < 1:
             raise ValueError(
                 f"virtual_nodes must be >= 1, got {virtual_nodes}")
-        if kernel_profile not in ("fast", "legacy"):
-            raise ValueError(
-                f"kernel_profile must be 'fast' or 'legacy', "
-                f"got {kernel_profile!r}")
         self.config = config if config is not None else AlvisConfig()
         self.seed = seed
         self.account_lookups = account_lookups
-        #: ``"fast"`` (default) runs the optimised event kernel and
-        #: churn-local lazy ring maintenance; ``"legacy"`` pins the
-        #: pre-optimisation kernel (dataclass events, eager full table
-        #: rebuilds) for A/B benchmarking.  Both profiles are
-        #: trace-equivalent — bench_scale asserts it.
-        self.kernel_profile = kernel_profile
-        # Pin (or unpin) the module-level CPU paths the profiles A/B:
-        # payload sizing and posting-list construction.  Both settings
-        # are semantics-identical (same bytes, same lists) and
-        # process-wide — the most recently constructed network wins,
-        # which is what the one-leg-per-subprocess benchmarks rely on.
-        set_legacy_sizing(kernel_profile == "legacy")
-        set_legacy_construction(kernel_profile == "legacy")
         #: Virtual ring positions per peer (classic DHT load balancing:
         #: more positions -> each peer owns several small key ranges, so
         #: per-peer storage evens out).  Values > 1 are incompatible with
         #: churn/crash in this implementation (see :meth:`churn`).
         self.virtual_nodes = virtual_nodes
         self.analyzer = analyzer if analyzer is not None else Analyzer()
-        if kernel_profile == "legacy":
-            self.simulator = Simulator(queue=LegacyEventQueue())
-        else:
-            self.simulator = Simulator()
+        self.simulator = Simulator()
         self.transport = SimTransport(
             self.simulator,
             latency if latency is not None else ConstantLatency(0.02),
@@ -119,10 +98,7 @@ class AlvisNetwork:
                 self.config.service_reject_cost)
         self.ring = DHTRing(
             strategy if strategy is not None else HopSpaceFingers(),
-            self.transport,
-            lazy_tables=(kernel_profile != "legacy"),
-            fast_hops=(kernel_profile != "legacy"),
-            compact_nodes=(kernel_profile != "legacy"))
+            self.transport)
         if peer_ids is None:
             peer_ids = uniform_ids(make_rng(seed, "peer-ids"), num_peers)
         elif len(set(peer_ids)) != num_peers:

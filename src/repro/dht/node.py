@@ -104,7 +104,8 @@ class DHTNode:
         Returns ``None`` when no neighbour makes progress, i.e. this node's
         successor owns the key (or the ring is a singleton).  The chosen
         neighbour never overshoots the key, which guarantees progress and
-        termination on a consistent ring.
+        termination on a consistent ring.  Routing uses
+        :meth:`next_hop_fast`; this linear scan is its reference.
         """
         best: Optional[int] = None
         best_distance: Optional[int] = None

@@ -90,48 +90,30 @@ class DHTRing:
     """A set of :class:`DHTNode` objects plus routing orchestration."""
 
     def __init__(self, strategy: Optional[FingerTableStrategy] = None,
-                 transport: Optional[TransportBackend] = None,
-                 lazy_tables: bool = True,
-                 fast_hops: bool = False,
-                 compact_nodes: Optional[bool] = None):
+                 transport: Optional[TransportBackend] = None):
         self.strategy = strategy if strategy is not None else HopSpaceFingers()
         self.transport = transport
-        #: Churn-local maintenance: with ``lazy_tables`` a membership
-        #: change only *stamps* tables stale (via ``membership_epoch``)
-        #: and each node's fingers/successors are recomputed on first
-        #: touch — O(touched x log n) per churn event instead of the
-        #: O(n log n) full rebuild.  The resulting tables are identical
-        #: to an eager rebuild (both derive from current membership), so
-        #: routes and traffic do not change; ``lazy_tables=False``
-        #: restores the eager behaviour for A/B benchmarking.
-        self.lazy_tables = lazy_tables
-        #: Route accounted hops through the transport's ``deliver_hop``
-        #: fast path (precomputed wire sizes, no per-hop ``Message``
-        #: objects) when the backend offers one.  Byte/trace-identical
-        #: to the message path; off by default so directly constructed
-        #: rings keep the historical, endpoint-visible hop messages.
-        self.fast_hops = fast_hops
-        #: Array-of-struct membership: with ``compact_nodes`` the ring
-        #: records membership in a plain id set + sorted list and
-        #: materializes :class:`DHTNode` objects only for nodes routing
-        #: actually touches (``_nodes`` becomes a cache, not the
-        #: authority).  Node state is purely derived from membership, so
-        #: routes are identical; defaults to ``lazy_tables``.
-        self.compact_nodes = (lazy_tables if compact_nodes is None
-                              else compact_nodes)
+        #: Membership authority: a plain id set + sorted list.
+        #: :class:`DHTNode` objects are materialized only for nodes
+        #: routing actually touches (``_nodes`` is a cache, not the
+        #: authority).
         self._members: set = set()
         self._nodes: Dict[int, DHTNode] = {}
         self._sorted_ids: List[int] = []
-        self._tables_dirty = True
-        #: Incremented on every membership change; lets caches of
-        #: key->owner resolutions detect staleness cheaply.
+        #: Incremented on every membership change.  Churn-local
+        #: maintenance: a change only *stamps* tables stale and each
+        #: node's fingers/successors are recomputed on first touch —
+        #: O(touched x log n) per churn event instead of the O(n log n)
+        #: full rebuild, with identical tables (both derive from current
+        #: membership).  Caches of key->owner resolutions use it to
+        #: detect staleness cheaply.
         self.membership_epoch = 0
-        #: Greedy-route memo (``fast_hops`` only): node id -> {key id ->
-        #: next hop, or ``_ROUTE_OWNED``}.  Within one membership epoch
-        #: the greedy choice is a pure function of (node, key), so
-        #: repeated routes replay from the memo — the *same* hop
-        #: messages are still sent, only the finger-table scans are
-        #: skipped.  Cleared wholesale on any membership change.
+        #: Greedy-route memo: node id -> {key id -> next hop, or
+        #: ``_ROUTE_OWNED``}.  Within one membership epoch the greedy
+        #: choice is a pure function of (node, key), so repeated routes
+        #: replay from the memo — the *same* hop messages are still
+        #: sent, only the finger-table scans are skipped.  Cleared
+        #: wholesale on any membership change.
         self._route_cache: Dict[int, Dict[int, int]] = {}
         self._route_entries = 0
         self._route_epoch = -1
@@ -171,33 +153,26 @@ class DHTRing:
         """True if ``node_id`` is a live member."""
         return node_id in self._members
 
-    def add_node(self, node_id: int) -> Optional[DHTNode]:
-        """Add a node to the membership; tables become stale until rebuilt.
+    def add_node(self, node_id: int) -> None:
+        """Add a node to the membership; tables become stale.
 
-        Returns the node object, or ``None`` with ``compact_nodes`` —
-        the object is only materialized when routing first touches it.
+        The node object is only materialized when routing first
+        touches it.
         """
         if node_id in self._members:
             raise ValueError(f"node {node_id} already present")
         self._members.add(node_id)
         bisect.insort(self._sorted_ids, node_id)
-        self._tables_dirty = True
         self.membership_epoch += 1
-        if self.compact_nodes:
-            return None
-        node = DHTNode(node_id)
-        self._nodes[node_id] = node
-        return node
 
     def remove_node(self, node_id: int) -> None:
-        """Remove a node; tables become stale until rebuilt."""
+        """Remove a node; tables become stale."""
         if node_id not in self._members:
             raise KeyError(f"node {node_id} not present")
         self._members.discard(node_id)
         self._nodes.pop(node_id, None)
         index = bisect.bisect_left(self._sorted_ids, node_id)
         self._sorted_ids.pop(index)
-        self._tables_dirty = True
         self.membership_epoch += 1
 
     # ------------------------------------------------------------------
@@ -230,9 +205,9 @@ class DHTRing:
         """(Re)build every node's fingers and successor list *eagerly*.
 
         Models the converged state of the maintenance protocol in one
-        shot.  With ``lazy_tables`` this is never required — nodes
-        refresh on touch — but stays available for benchmarks and tests
-        that inspect the whole converged state at once.
+        shot.  Routing never requires it — nodes refresh on touch — but
+        it stays available as the eager reference for benchmarks and
+        tests that inspect the whole converged state at once.
         """
         members = self._sorted_ids
         n = len(members)
@@ -248,33 +223,19 @@ class DHTRing:
             # wraps for n == 1 via Python indexing.
             node.predecessor = members[rank - 1]
             node.table_epoch = epoch
-        self._tables_dirty = False
 
     def maintain(self) -> None:
-        """Converge routing state after a membership change.
+        """Converge routing state after a membership change: a no-op.
 
-        The churn-local replacement for calling :meth:`rebuild_tables`
-        on every join/leave: with ``lazy_tables`` the membership bump
-        already stamped every table stale, so there is nothing to do —
-        each node recomputes its own fingers/successors from the current
-        membership on first touch.  Without laziness this falls back to
-        the eager full rebuild.
+        The hook callers invoke after every join/leave.  The
+        membership bump already stamped every table stale, so there is
+        nothing to do — each node recomputes its own fingers/successors
+        from the current membership on first touch.
         """
-        if not self.lazy_tables:
-            self.rebuild_tables()
-
-    def ensure_tables(self) -> None:
-        """Make routing state consistent with the current membership.
-
-        Lazy mode needs no global work (stale nodes refresh on touch);
-        eager mode rebuilds if membership changed since the last build.
-        """
-        if self._tables_dirty and not self.lazy_tables:
-            self.rebuild_tables()
 
     def _node_for(self, node_id: int) -> DHTNode:
         """The node object for a live member, materializing it on first
-        touch in compact mode (KeyError for non-members)."""
+        touch (KeyError for non-members)."""
         node = self._nodes.get(node_id)
         if node is None:
             if node_id not in self._members:
@@ -342,37 +303,32 @@ class DHTRing:
         used only for the local ownership test (a node knowing its
         predecessor).  With ``account=True`` and a transport attached, each
         hop sends a small ``LookupHop`` message so routing traffic shows up
-        in the byte accounting.
+        in the byte accounting; a backend offering ``deliver_hop`` is
+        charged the precomputed hop size without building the message.
         """
-        self.ensure_tables()
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
         deliver = (getattr(self.transport, "deliver_hop", None)
-                   if (self.fast_hops and account
-                       and self.transport is not None) else None)
+                   if account and self.transport is not None else None)
         current = source_id
         path = [current]
         hops = 0
         max_hops = 2 * ID_BITS + self.size
-        fast = self.fast_hops
-        table = self._route_table() if fast else None
+        table = self._route_table()
         while True:
             next_id = None
-            if table is not None:
-                node_routes = table.get(current)
-                if node_routes is not None:
-                    next_id = node_routes.get(key_id)
+            node_routes = table.get(current)
+            if node_routes is not None:
+                next_id = node_routes.get(key_id)
             if next_id is None:
                 node = self._fresh(current)
                 if node.owns(key_id, node.predecessor):
                     next_id = _ROUTE_OWNED
                 else:
-                    next_id = (node.next_hop_fast(key_id) if fast
-                               else node.next_hop(key_id))
+                    next_id = node.next_hop_fast(key_id)
                     if next_id is None:
                         next_id = node.successor
-                if (table is not None
-                        and self._route_entries < _ROUTE_CACHE_MAX_ENTRIES):
+                if self._route_entries < _ROUTE_CACHE_MAX_ENTRIES:
                     table.setdefault(current, {})[key_id] = next_id
                     self._route_entries += 1
             if next_id == _ROUTE_OWNED:
@@ -404,12 +360,10 @@ class DHTRing:
         cost is amortized across the batch (the lattice-frontier batching
         of the query engine).
         """
-        self.ensure_tables()
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
         deliver = (getattr(self.transport, "deliver_hop", None)
-                   if (self.fast_hops and account
-                       and self.transport is not None) else None)
+                   if account and self.transport is not None else None)
         # Bulk hop accounting (see SimTransport.begin_hop_bulk): hops
         # accumulate in ``hop_acc`` (dst -> [messages, bytes]) and are
         # settled in one flush, replacing a per-hop delivery call.
@@ -420,8 +374,7 @@ class DHTRing:
             live = begin_bulk() if begin_bulk is not None else None
             if live is not None:
                 hop_acc = {}
-        fast = self.fast_hops
-        routes = self._route_table() if fast else {}
+        routes = self._route_table()
         pending = sorted(set(key_ids))
         owners: Dict[int, int] = {}
         per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
@@ -430,8 +383,7 @@ class DHTRing:
         # memoized for this membership epoch resolves directly — the
         # source addresses the owner without re-routing, so the key
         # costs no lookup traffic and no forwarding hops.
-        owner_cache = (self._owner_cache
-                       if fast and hop_acc is not None else None)
+        owner_cache = self._owner_cache if hop_acc is not None else None
         if owner_cache:
             cached_get = owner_cache.get
             unresolved = []
@@ -449,8 +401,8 @@ class DHTRing:
         max_rounds = 2 * ID_BITS + self.size
         try:
             result = self._lookup_many_rounds(
-                frontier, owners, per_key_hops, routes, fast, deliver,
-                live, hop_acc, account, messages, rounds, max_rounds)
+                frontier, owners, per_key_hops, routes, deliver, live,
+                hop_acc, account, messages, rounds, max_rounds)
         finally:
             # Settle accumulated bulk hops even when a delivery error
             # aborts the walk: exactly the hops per-hop delivery would
@@ -463,8 +415,8 @@ class DHTRing:
         return result
 
     def _lookup_many_rounds(self, frontier, owners, per_key_hops, routes,
-                            fast, deliver, live, hop_acc, account,
-                            messages, rounds, max_rounds):
+                            deliver, live, hop_acc, account, messages,
+                            rounds, max_rounds):
         """The frontier walk of :meth:`lookup_many` (split out so the
         bulk-hop flush wraps it in one ``finally``)."""
         owned = _ROUTE_OWNED
@@ -486,7 +438,7 @@ class DHTRing:
                 # Node-major memo orientation: one hoisted dict per
                 # frontier node, a single probe per key step (bound
                 # methods hoisted out of the key loop).
-                node_routes = routes.get(node_id) if fast else None
+                node_routes = routes.get(node_id)
                 route_get = (node_routes.get
                              if node_routes is not None else None)
                 by_next: Dict[int, List[int]] = {}
@@ -498,15 +450,14 @@ class DHTRing:
                         if node is None:
                             node = self._fresh(node_id)
                             predecessor = node.predecessor
-                            hop = (node.next_hop_fast if fast
-                                   else node.next_hop)
+                            hop = node.next_hop_fast
                         if node.owns(key_id, predecessor):
                             next_id = owned
                         else:
                             next_id = hop(key_id)
                             if next_id is None:
                                 next_id = node.successor
-                        if fast and self._route_entries < cache_cap:
+                        if self._route_entries < cache_cap:
                             if node_routes is None:
                                 node_routes = routes.setdefault(
                                     node_id, {})
@@ -591,7 +542,6 @@ class DHTRing:
         :class:`BatchLookupResult` with ``message_batches`` and
         ``message_bytes`` populated.
         """
-        self.ensure_tables()
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
         pending = sorted(set(key_ids))
@@ -632,9 +582,8 @@ class DHTRing:
                         else:
                             owners[key_id] = self.successor_of(key_id)
                     continue
-                predecessor = self.predecessor_of(node_id)
-                hop = (node.next_hop_fast if self.fast_hops
-                       else node.next_hop)
+                predecessor = node.predecessor
+                hop = node.next_hop_fast
                 by_next: Dict[int, List[int]] = {}
                 for key_id in frontier[node_id]:
                     if node.owns(key_id, predecessor):
@@ -671,7 +620,6 @@ class DHTRing:
                        if future is not None]
             if futures:
                 yield all_of(futures)
-            self.ensure_tables()    # membership may have moved mid-flight
             next_frontier: Dict[int, List[int]] = {}
             overflow_rtts: List[float] = []
             for future, node_id, next_id, batch in sends:

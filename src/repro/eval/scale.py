@@ -1,27 +1,24 @@
-"""Scale-sweep leg runner: one network size, one kernel profile.
+"""Scale-sweep leg runner: one network size per process.
 
 The scale-out benchmark (``benchmarks/bench_scale.py``) sweeps network
-sizes (1k -> 10k -> 100k peers) and compares the optimised kernel
-(``kernel_profile="fast"``) against the pre-optimisation one
-(``"legacy"``, typically combined with ``REPRO_PURE_PYTHON=1``).  Each
-leg runs in its own subprocess so peak RSS is attributable::
+sizes (1k -> 10k -> 100k peers).  Each leg runs in its own subprocess
+so peak RSS is attributable::
 
     PYTHONPATH=src python -m repro.eval.scale \
-        --peers 10000 --queries 36 --churn 90 --profile legacy --json -
+        --peers 10000 --queries 36 --churn 90 --json -
 
-A leg builds the network, runs the statistics phase and HDK index
-build, then drives a *churning query workload*: join/leave events
-interleaved with queries through the async runtime.  Churn is what
-separates the profiles asymptotically — the legacy ring rebuilds every
-node's tables on every membership change, the fast ring refreshes only
-the nodes a lookup actually touches.
+A leg builds the network with packed postings and batched index
+lookups, runs the statistics phase and HDK index build, then drives a
+*churning query workload*: join/leave events interleaved with queries
+through the async runtime.  Each membership change stamps every
+routing table stale; the ring refreshes only the nodes a lookup
+actually touches.
 
 Reported per leg: wall-clock per phase, events processed, effective
 events/sec over the workload phase (wall-clock including table
-maintenance — the number the ``>= 5x`` acceptance gate checks),
-kernel-loop events/sec, bytes per query, peak RSS, and the exact
-top-k id/score fingerprint of every query (the two profiles must agree
-byte-for-byte).
+maintenance), kernel-loop events/sec, bytes per query, peak RSS, the
+``state_fingerprint`` of the built index and the exact top-k id/score
+fingerprint of every query.
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ __all__ = ["run_leg", "main"]
 
 
 def run_leg(peers: int, documents: int = 240, queries: int = 36,
-            churn_events: int = 90, kernel_profile: str = "fast",
-            seed: int = 1234, mode: str = "hdk") -> Dict[str, Any]:
+            churn_events: int = 90, seed: int = 1234,
+            mode: str = "hdk") -> Dict[str, Any]:
     """Run one sweep leg and return its result record."""
     leg_started = time.perf_counter()
     corpus = SyntheticCorpus(SyntheticCorpusConfig(
@@ -56,19 +53,13 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
                                     min_terms=2, max_terms=3, seed=seed))
     timings: Dict[str, float] = {}
 
-    # The fast profile also exercises the indexing-phase scale-out
-    # (packed postings are byte-identical; batched lookups change only
-    # LookupHop traffic, never HDK contents — the fingerprint and top-k
-    # comparisons below still hold across profiles).
-    if kernel_profile == "fast":
-        config = AlvisConfig(async_queries=True, packed_postings=True,
-                             batch_index_lookups=True)
-    else:
-        config = AlvisConfig(async_queries=True)
+    # The indexing-phase scale-out: packed postings are byte-identical;
+    # batched lookups change only LookupHop traffic, never HDK contents.
+    config = AlvisConfig(async_queries=True, packed_postings=True,
+                         batch_index_lookups=True)
 
     started = time.perf_counter()
-    network = AlvisNetwork(num_peers=peers, config=config,
-                           seed=seed, kernel_profile=kernel_profile)
+    network = AlvisNetwork(num_peers=peers, config=config, seed=seed)
     network.distribute_documents(corpus.documents())
     timings["build_s"] = time.perf_counter() - started
 
@@ -122,7 +113,6 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
         "documents": documents,
         "queries": queries,
         "churn_events": churn_events,
-        "kernel_profile": kernel_profile,
         "numpy": HAVE_NUMPY,
         "seed": seed,
         "mode": mode,
@@ -150,8 +140,6 @@ def main(argv=None) -> int:
     parser.add_argument("--documents", type=int, default=240)
     parser.add_argument("--queries", type=int, default=36)
     parser.add_argument("--churn", type=int, default=90)
-    parser.add_argument("--profile", choices=("fast", "legacy"),
-                        default="fast")
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--mode", default="hdk")
     parser.add_argument("--json", default="-",
@@ -159,8 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     leg = run_leg(peers=args.peers, documents=args.documents,
                   queries=args.queries, churn_events=args.churn,
-                  kernel_profile=args.profile, seed=args.seed,
-                  mode=args.mode)
+                  seed=args.seed, mode=args.mode)
     payload = json.dumps(leg, indent=2, sort_keys=True)
     if args.json == "-":
         print(payload)

@@ -47,23 +47,6 @@ POSTINGS_ENVELOPE_BYTES = _LIST_ENVELOPE_BYTES
 _ENVELOPE_STRUCT = struct.Struct(">QBI")
 _POSTING_STRUCT = struct.Struct(">Qd")
 
-#: When true, :meth:`PostingList._from_canonical` routes through the
-#: full sort-and-dedup constructor, pinning the pre-optimisation CPU
-#: path.  Flipped by ``AlvisNetwork`` when ``kernel_profile="legacy"``
-#: for A/B benchmarking; both paths build identical lists, so this is a
-#: timing knob, never a semantic one.  Process-wide: the most recently
-#: constructed network wins.
-_legacy_construction = False
-
-
-def set_legacy_construction(enabled: bool) -> None:
-    """Pin (or unpin) the pre-optimisation list-construction path.
-
-    Called by ``AlvisNetwork`` according to its ``kernel_profile``.
-    """
-    global _legacy_construction
-    _legacy_construction = bool(enabled)
-
 #: Big-endian structured dtype matching ``>Qd`` per posting: ``tobytes()``
 #: of an array with this dtype equals the concatenated ``struct.pack``
 #: output byte for byte, which is what keeps the vectorized path
@@ -126,12 +109,8 @@ class PostingList:
         ids.  Every internal producer of such entries (``truncate``,
         ``merge``, slices of an existing list) re-enters construction
         through here, skipping the redundant sort-and-dedup pass that
-        dominated indexing-phase profiles at 10k peers.  Under the
-        legacy kernel profile the full constructor runs instead
-        (identical output — the entries are already canonical).
+        dominated indexing-phase profiles at 10k peers.
         """
-        if _legacy_construction:
-            return cls(entries, global_df=global_df)
         plist = cls.__new__(cls)
         plist.entries = list(entries)
         plist.global_df = int(global_df)
@@ -218,8 +197,7 @@ class PostingList:
         merged length — sufficient for the aggregation protocol, which
         sums *contributing* dfs separately.
         """
-        if not _legacy_construction and (not self.entries
-                                         or not other.entries):
+        if not self.entries or not other.entries:
             # One side empty (the first contribution to a key, most of
             # the index-construction merges): the union is the other
             # side, already canonical.
@@ -229,19 +207,6 @@ class PostingList:
             global_df = max(self.global_df, other.global_df,
                             len(source.entries))
             return PostingList._from_canonical(merged, global_df)
-        if _legacy_construction:
-            by_id = {}
-            for posting in list(self.entries) + list(other.entries):
-                existing = by_id.get(posting.doc_id)
-                if existing is None or posting.score > existing.score:
-                    by_id[posting.doc_id] = posting
-            merged = sorted(by_id.values(),
-                            key=lambda posting: (-posting.score,
-                                                 posting.doc_id))
-            if limit is not None:
-                merged = merged[:limit]
-            global_df = max(self.global_df, other.global_df, len(by_id))
-            return PostingList(merged, global_df=global_df)
         # Both sides are canonical runs, so this sort is a linear
         # two-run merge (Timsort galloping); in canonical order the
         # first occurrence of a doc id carries its max score, so

@@ -1,7 +1,7 @@
 """repro-lint: AST-based invariant checkers for this repository.
 
-The repo's load-bearing guarantees — trace-identical fast/legacy
-kernels, byte-identical sim/UDP backends, off-by-default knobs — are
+The repo's load-bearing guarantees — deterministic seeded runs,
+byte-identical sim/UDP backends, off-by-default knobs — are
 otherwise enforced only by runtime equivalence tests, which catch
 violations late and only on exercised paths.  This package turns those
 invariants into machine-checked rules at review time:

@@ -28,70 +28,35 @@ _CONTAINER_PREFIX = 4
 
 _message_ids = itertools.count(1)
 
-#: Memoized string sizes (fast sizing path only).  Payload strings are
-#: overwhelmingly drawn from a small shared pool (vocabulary terms,
-#: message field names), so the UTF-8 encode is paid once per distinct
-#: string.  Bounded so adversarial workloads with unbounded distinct
-#: strings cannot grow it forever.
+#: Memoized string sizes.  Payload strings are overwhelmingly drawn
+#: from a small shared pool (vocabulary terms, message field names), so
+#: the UTF-8 encode is paid once per distinct string.  Bounded so
+#: adversarial workloads with unbounded distinct strings cannot grow it
+#: forever.
 _string_sizes: dict = {}
 _STRING_CACHE_LIMIT = 1 << 16
 
-#: When true, :func:`encoded_size` uses the pre-optimisation reference
-#: implementation (attribute probe first, no memoization).  Flipped by
-#: ``AlvisNetwork`` when ``kernel_profile="legacy"`` so A/B benchmarks
-#: pin the old CPU path; both paths return identical sizes for every
-#: input, so this is a timing knob, never a semantic one.  Process-wide:
-#: the most recently constructed network wins.
-_legacy_sizing = False
 
+def encoded_size(value: Any) -> int:
+    """Estimate the encoded size in bytes of a payload value.
 
-def set_legacy_sizing(enabled: bool) -> None:
-    """Pin (or unpin) the pre-optimisation sizing path.
+    Supports the JSON-ish types used in payloads: ``None``, ``bool``,
+    ``int``, ``float``, ``str``, ``bytes`` and (possibly nested) lists,
+    tuples, sets, frozensets and mappings.  Objects exposing a
+    ``wire_size()`` method (e.g. posting lists) report their own size.
 
-    Called by ``AlvisNetwork`` according to its ``kernel_profile``.
-    Both paths are size-identical on every supported value — benchmarks
-    flip this to hold the baseline kernel's constant factors fixed.
-    """
-    global _legacy_sizing
-    _legacy_sizing = bool(enabled)
+    Exact built-in types are dispatched before the ``wire_size`` probe:
+    payload values are overwhelmingly plain scalars/containers, which
+    cannot carry a ``wire_size`` method, and probing every int for one
+    dominated sizing at indexing scale.  Subclasses and sized objects
+    take the ``isinstance`` fallback.
 
-
-def _encoded_size_legacy(value: Any) -> int:
-    """Reference sizing: the pre-optimisation implementation, verbatim."""
-    if value is None:
-        return 1
-    wire_size = getattr(value, "wire_size", None)
-    if callable(wire_size):
-        return int(wire_size())
-    if isinstance(value, bool):
-        return _BYTES_PER_BOOL
-    if isinstance(value, int):
-        return _BYTES_PER_INT
-    if isinstance(value, float):
-        return _BYTES_PER_FLOAT
-    if isinstance(value, str):
-        return _STRING_LENGTH_PREFIX + len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return _STRING_LENGTH_PREFIX + len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return _CONTAINER_PREFIX + sum(
-            _encoded_size_legacy(item) for item in value)
-    if isinstance(value, Mapping):
-        return _CONTAINER_PREFIX + sum(
-            _encoded_size_legacy(key) + _encoded_size_legacy(item)
-            for key, item in value.items())
-    raise TypeError(f"cannot estimate wire size of {type(value).__name__}")
-
-
-def _encoded_size_fast(value: Any) -> int:
-    """Optimised sizing: exact-type dispatch before attribute probing.
-
-    Payload values are overwhelmingly the built-in scalars/containers,
-    and probing every int for a ``wire_size`` attribute dominated
-    sizing at indexing scale.  An exact ``bool``/``int``/``float``/
-    ``str``/plain container cannot carry a ``wire_size`` method, so the
-    short-circuits are byte-identical to the reference path (which
-    still handles subclasses and sized objects as the fallback).
+    >>> encoded_size(7)
+    8
+    >>> encoded_size("abc")
+    5
+    >>> encoded_size([1, 2]) == _CONTAINER_PREFIX + 16
+    True
     """
     kind = type(value)
     if kind is int:
@@ -123,7 +88,7 @@ def _encoded_size_fast(value: Any) -> int:
                         sizes[key] = size
                 total += size
             else:
-                total += _encoded_size_fast(key)
+                total += encoded_size(key)
             kind_item = type(item)
             if kind_item is int:
                 total += _BYTES_PER_INT
@@ -138,7 +103,7 @@ def _encoded_size_fast(value: Any) -> int:
             elif kind_item is float:
                 total += _BYTES_PER_FLOAT
             else:
-                total += _encoded_size_fast(item)
+                total += encoded_size(item)
         return total
     if kind is list or kind is tuple:
         total = _CONTAINER_PREFIX
@@ -146,7 +111,7 @@ def _encoded_size_fast(value: Any) -> int:
             if type(item) is int:
                 total += _BYTES_PER_INT
             else:
-                total += _encoded_size_fast(item)
+                total += encoded_size(item)
         return total
     if value is None:
         return 1
@@ -165,32 +130,12 @@ def _encoded_size_fast(value: Any) -> int:
         return _STRING_LENGTH_PREFIX + len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         return _CONTAINER_PREFIX + sum(
-            _encoded_size_fast(item) for item in value)
+            encoded_size(item) for item in value)
     if isinstance(value, Mapping):
         return _CONTAINER_PREFIX + sum(
-            _encoded_size_fast(key) + _encoded_size_fast(item)
+            encoded_size(key) + encoded_size(item)
             for key, item in value.items())
     raise TypeError(f"cannot estimate wire size of {type(value).__name__}")
-
-
-def encoded_size(value: Any) -> int:
-    """Estimate the encoded size in bytes of a payload value.
-
-    Supports the JSON-ish types used in payloads: ``None``, ``bool``,
-    ``int``, ``float``, ``str``, ``bytes`` and (possibly nested) lists,
-    tuples, sets, frozensets and mappings.  Objects exposing a
-    ``wire_size()`` method (e.g. posting lists) report their own size.
-
-    >>> encoded_size(7)
-    8
-    >>> encoded_size("abc")
-    5
-    >>> encoded_size([1, 2]) == _CONTAINER_PREFIX + 16
-    True
-    """
-    if _legacy_sizing:
-        return _encoded_size_legacy(value)
-    return _encoded_size_fast(value)
 
 
 @dataclass
@@ -214,9 +159,7 @@ class Message:
     def size_bytes(self) -> int:
         """Total wire size: header plus encoded payload."""
         if self._cached_size is None:
-            payload = (dict(self.payload) if _legacy_sizing
-                       else self.payload)
-            self._cached_size = HEADER_BYTES + encoded_size(payload)
+            self._cached_size = HEADER_BYTES + encoded_size(self.payload)
         return self._cached_size
 
     def reply(self, kind: str, payload: Mapping[str, Any]) -> "Message":

@@ -4,7 +4,7 @@ A classic discrete-event loop: events are (time, sequence, callback)
 entries ordered by time with a FIFO tiebreak, so same-timestamp events
 run in scheduling order and the simulation is fully deterministic.
 
-The kernel is the innermost loop of every benchmark, so the default
+The kernel is the innermost loop of every benchmark, so the
 :class:`Event`/:class:`EventQueue` pair is written for raw speed:
 
 * ``Event`` is a ``__slots__`` class with a hand-rolled ``__lt__`` over
@@ -14,21 +14,14 @@ The kernel is the innermost loop of every benchmark, so the default
   (:meth:`EventQueue._purge_cancelled_head`), shared by ``pop`` and
   ``peek_time``; cancel bookkeeping is a single back-pointer write.
 * ``push_many``/``pop_batch`` amortise heap maintenance for bulk
-  scheduling, and :class:`Simulator` runs a fast inlined loop (local
-  heap aliases, direct clock writes) when driving the default queue.
-
-The previous dataclass-based implementation is preserved verbatim as
-:class:`LegacyEvent`/:class:`LegacyEventQueue` so benchmarks can A/B the
-optimised kernel against the unoptimised one (``kernel_profile`` on
-:class:`repro.core.network.AlvisNetwork`).
+  scheduling, and :class:`Simulator` runs an inlined loop (local heap
+  aliases, direct clock writes) over the queue's raw heap.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import time as _time
-from dataclasses import dataclass, field
 from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, TYPE_CHECKING)
 
@@ -38,8 +31,7 @@ from repro.sim.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.procs import Proc
 
-__all__ = ["Event", "EventQueue", "Simulator",
-           "LegacyEvent", "LegacyEventQueue"]
+__all__ = ["Event", "EventQueue", "Simulator"]
 
 
 class Event:
@@ -188,96 +180,6 @@ class EventQueue:
         return self._live > 0
 
 
-# ----------------------------------------------------------------------
-# Legacy kernel (pre-optimisation), kept for A/B benchmarking.
-# ----------------------------------------------------------------------
-
-
-@dataclass(order=True)
-class LegacyEvent:  # repro-lint: disable=RPL040 (pre-optimisation kernel preserved verbatim for A/B benchmarks; py3.9 dataclasses cannot take slots=True)
-    """The pre-optimisation dataclass event (kept for A/B benchmarks).
-
-    Ordering compares ``(time, sequence)`` only; the callback itself is
-    excluded from comparison.
-    """
-
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Set by the owning queue so it can keep a live non-cancelled count
-    #: without scanning the heap; cleared once the event is popped or
-    #: its cancellation is observed.
-    _on_cancel: Optional[Callable[[], None]] = field(default=None,
-                                                     compare=False,
-                                                     repr=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
-            self._on_cancel = None
-
-
-class LegacyEventQueue:  # repro-lint: disable=RPL040 (pre-optimisation kernel preserved verbatim for A/B benchmarks)
-    """The pre-optimisation event queue (kept for A/B benchmarks).
-
-    Same public interface as :class:`EventQueue`; the simulator falls
-    back to its generic (method-dispatch) run loop when driving it, so
-    benchmarking against this queue measures the unoptimised kernel.
-    """
-
-    def __init__(self):
-        self._heap: List[LegacyEvent] = []
-        self._sequence = itertools.count()
-        self._live = 0
-
-    def push(self, time: float,
-             callback: Callable[[], None]) -> LegacyEvent:
-        """Schedule ``callback`` at ``time`` and return its handle."""
-        event = LegacyEvent(time=time, sequence=next(self._sequence),
-                            callback=callback)
-        event._on_cancel = self._note_cancel
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def push_many(self, entries: Iterable[Tuple[float, Callable[[], None]]]
-                  ) -> List[LegacyEvent]:
-        """Bulk push (one heappush per entry — no batching here)."""
-        return [self.push(time, callback) for time, callback in entries]
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-
-    def pop(self) -> Optional[LegacyEvent]:
-        """Pop the earliest non-cancelled event, or ``None`` when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                event._on_cancel = None
-                self._live -= 1
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the earliest pending event without popping."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-
 class Simulator:
     """Drives the virtual clock through the event queue.
 
@@ -285,21 +187,18 @@ class Simulator:
     :meth:`schedule` / :meth:`schedule_at` and the experiment driver calls
     :meth:`run` (to exhaustion) or :meth:`run_until`.
 
-    When driving the default :class:`EventQueue` the run loops are
-    inlined over the raw heap (local ``heappop`` alias, direct clock
-    writes — heap order guarantees monotonic times); any other queue
-    (e.g. :class:`LegacyEventQueue`) goes through the generic
-    ``pop()``/``advance_to`` path.  Wall-clock time spent inside the run
-    loops is accumulated so ``events_per_sec`` reports kernel throughput.
+    The run loops are inlined over the queue's raw heap (local
+    ``heappop`` alias, direct clock writes — heap order guarantees
+    monotonic times).  Wall-clock time spent inside them is accumulated
+    so ``events_per_sec`` reports kernel throughput.
     """
 
     __slots__ = ("clock", "queue", "metrics", "_events_processed",
                  "_wall_seconds")
 
-    def __init__(self, start_time: float = 0.0,
-                 queue: Optional[Any] = None):
+    def __init__(self, start_time: float = 0.0):
         self.clock = VirtualClock(start_time)
-        self.queue = queue if queue is not None else EventQueue()
+        self.queue = EventQueue()
         self.metrics = MetricsRegistry()
         self._events_processed = 0
         self._wall_seconds = 0.0
@@ -355,50 +254,14 @@ class Simulator:
 
         Returns the number of events processed by this call.
         """
-        queue = self.queue
-        if type(queue) is EventQueue:
-            return self._run_fast(max_events, None)
-        started = _time.perf_counter()  # repro-lint: disable=RPL010 (wall-clock throughput instrumentation, not sim time)
-        processed = 0
-        clock = self.clock
-        try:
-            while max_events is None or processed < max_events:
-                event = queue.pop()
-                if event is None:
-                    break
-                clock.advance_to(event.time)
-                event.callback()
-                processed += 1
-        finally:
-            self._events_processed += processed
-            self._wall_seconds += _time.perf_counter() - started  # repro-lint: disable=RPL010 (wall-clock throughput instrumentation, not sim time)
-        return processed
+        return self._run_fast(max_events, None)
 
     def run_until(self, end_time: float) -> int:
         """Run events with ``time <= end_time``; park the clock at the end.
 
         Returns the number of events processed by this call.
         """
-        queue = self.queue
-        if type(queue) is EventQueue:
-            processed = self._run_fast(None, end_time)
-        else:
-            started = _time.perf_counter()  # repro-lint: disable=RPL010 (wall-clock throughput instrumentation, not sim time)
-            processed = 0
-            clock = self.clock
-            try:
-                while True:
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > end_time:
-                        break
-                    event = queue.pop()
-                    assert event is not None
-                    clock.advance_to(event.time)
-                    event.callback()
-                    processed += 1
-            finally:
-                self._events_processed += processed
-                self._wall_seconds += _time.perf_counter() - started  # repro-lint: disable=RPL010 (wall-clock throughput instrumentation, not sim time)
+        processed = self._run_fast(None, end_time)
         if end_time > self.clock.now:
             self.clock.advance_to(end_time)
         return processed
@@ -407,7 +270,7 @@ class Simulator:
 
     def _run_fast(self, max_events: Optional[int],
                   end_time: Optional[float]) -> int:
-        """Inlined hot loop over the default queue's raw heap.
+        """Inlined hot loop over the queue's raw heap.
 
         Pops are batched straight off the heap with a local ``heappop``
         alias (no per-event method dispatch) and the clock is written

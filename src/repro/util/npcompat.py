@@ -7,8 +7,7 @@ here instead of importing numpy directly:
 
 * ``np`` is the numpy module when it is importable, else ``None``;
 * setting ``REPRO_PURE_PYTHON=1`` forces ``np = None`` even when numpy
-  is installed — how CI exercises the pure-Python fallback, and how the
-  legacy benchmark profile pins the unoptimised scoring path.
+  is installed — how CI exercises the pure-Python fallback.
 
 Callers must keep a scalar fallback behind ``if np is None``.
 """

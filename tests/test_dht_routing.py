@@ -234,7 +234,7 @@ class TestRingMembership:
         ring = DHTRing(HopSpaceFingers())
         for node_id in uniform_ids(random.Random(16), 30):
             ring.add_node(node_id)
-        # No explicit rebuild: ensure_tables must kick in.
+        # No explicit rebuild: nodes refresh their tables on touch.
         source = ring.member_ids[0]
         result = ring.lookup(source, 777)
         assert result.owner == ring.successor_of(777)

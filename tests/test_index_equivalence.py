@@ -1,7 +1,7 @@
 """Differential acceptance gate for the indexing-phase scale-out.
 
-The indexing-phase optimisations come in three layers, and each layer
-has a different equivalence contract this file pins:
+The indexing-phase optimisations carry three equivalence contracts,
+all pinned here:
 
 * ``packed_postings`` (wire-level flat posting arrays) is a pure
   re-encoding — with the knob on or off, the built index *and every
@@ -10,17 +10,20 @@ has a different equivalence contract this file pins:
   the batched frontier walk and its routing cache) may reshape
   ``LookupHop`` traffic — fewer, larger hop messages — but must never
   change the index contents nor any *non-lookup* message;
-* ``kernel_profile="fast"`` vs ``"legacy"`` (the A/B the scale
-  benchmark runs, legacy pinning every pre-optimisation CPU path) must
-  build the identical index state and HDK statistics.
+* the default and the bench configuration (the scale benchmark's
+  ``packed_postings`` + ``batch_index_lookups``) are pinned to golden
+  constants captured while a pre-optimisation twin still built the
+  same index beside them: state, HDK statistics, traffic.
 
-Each test builds two networks from identical seeds differing in exactly
-one of those switches and compares ``state_fingerprint`` — the full
-per-peer index state digest the scale benchmark gates on — plus the
-relevant traffic accounting.
+Each differential test builds two networks from identical seeds
+differing in exactly one switch and compares ``state_fingerprint`` —
+the full per-peer index state digest — plus the relevant traffic
+accounting; each golden test builds one network.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -31,15 +34,54 @@ from repro.core.protocol import LOOKUP_HOP
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 
 
+#: Index-phase traffic except ``LookupHop`` (24 peers, seed 7): equal
+#: for every knob setting below.
+_INDEX_TRAFFIC = {
+    "CollectionGet": 1196.0, "CollectionPublish": 2185.0,
+    "CollectionReply": 2208.0, "DfGet": 83585.0, "DfPublish": 141595.0,
+    "DfReply": 141595.0, "ExpandNotify": 123761.0,
+    "PublishAck": 104650.0, "PublishKey": 1671088.0,
+}
+
+#: The index every configuration builds.
+_INDEX_STATE = {
+    "state": "e9661a3b35d01fc3f17e2804c3a0e1991eed96a9",
+    "hdk": {"expand_notifications": 1382,
+            "keys_by_size": {1: 7707, 2: 4742, 3: 3155},
+            "keys_published": 15604, "publish_messages": 1557,
+            "rounds": 3},
+    "keys": 5152,
+    "storage": "fea3ae0ef8cf49f74a795dbd40248cc622f79d4b",
+    "postings": "6b660fa13d9ee80a86a67348ffda0243d1d24969",
+    "now": 0.0,
+}
+
+GOLDEN = {
+    "default": dict(_INDEX_STATE,
+                    bytes_by_kind=dict(_INDEX_TRAFFIC,
+                                       LookupHop=5816516.0),
+                    messages=91560.0),
+    "bench": dict(_INDEX_STATE,
+                  bytes_by_kind=dict(_INDEX_TRAFFIC, LookupHop=234184.0),
+                  messages=7881.0),
+}
+
+#: Top-k of 8 queries on the bench-configuration index.
+GOLDEN_BENCH_QUERIES = "42f8cdd1b01304de9701e779c1b39b983d6eb9d8"
+
+#: The scale benchmark's indexing knobs.
+_BENCH_KNOBS = {"packed_postings": True, "batch_index_lookups": True}
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return SyntheticCorpus(SyntheticCorpusConfig(
         num_documents=140, vocabulary_size=700, num_topics=6, seed=11))
 
 
-def _build(corpus, kernel_profile="fast", num_peers=24, seed=7, **knobs):
+def _build(corpus, num_peers=24, seed=7, **knobs):
     network = AlvisNetwork(num_peers=num_peers, config=AlvisConfig(**knobs),
-                           seed=seed, kernel_profile=kernel_profile)
+                           seed=seed)
     network.distribute_documents(corpus.documents())
     network.run_statistics_phase()
     stats = network.build_index(mode="hdk")
@@ -58,6 +100,21 @@ def _hdk_stats_fingerprint(stats):
             and not callable(getattr(stats, name))}
 
 
+def _digest(value):
+    return hashlib.sha1(repr(value).encode("utf-8")).hexdigest()
+
+
+def _golden_summary(network, stats):
+    return {"state": state_fingerprint(network),
+            "hdk": _hdk_stats_fingerprint(stats),
+            "keys": network.total_keys(),
+            "storage": _digest(network.per_peer_index_storage()),
+            "postings": _digest(network.per_peer_postings()),
+            "bytes_by_kind": network.bytes_by_kind(),
+            "messages": network.messages_sent_total(),
+            "now": network.simulator.now}
+
+
 class TestPackedPostingsEquivalence:
     """packed on/off: byte-identical state *and* byte-identical traffic."""
 
@@ -72,14 +129,6 @@ class TestPackedPostingsEquivalence:
         assert packed.messages_sent_total() == plain.messages_sent_total()
         assert packed.per_peer_index_storage() == \
             plain.per_peer_index_storage()
-
-    def test_legacy_profile_packed_also_identical(self, corpus):
-        packed, _ = _build(corpus, kernel_profile="legacy",
-                           packed_postings=True)
-        plain, _ = _build(corpus, kernel_profile="legacy",
-                          packed_postings=False)
-        assert state_fingerprint(packed) == state_fingerprint(plain)
-        assert packed.bytes_by_kind() == plain.bytes_by_kind()
 
 
 class TestBatchedLookupEquivalence:
@@ -109,46 +158,25 @@ class TestBatchedLookupEquivalence:
 
 
 class TestProfileIndexEquivalence:
-    """fast vs legacy at the bench's knob settings: identical index."""
+    """Golden pins: the default and the bench configuration's index."""
 
     def test_bench_config_state_identical(self, corpus):
-        fast, fast_stats = _build(corpus, kernel_profile="fast",
-                                  packed_postings=True,
-                                  batch_index_lookups=True)
-        legacy, legacy_stats = _build(corpus, kernel_profile="legacy")
-        assert state_fingerprint(fast) == state_fingerprint(legacy)
-        assert _hdk_stats_fingerprint(fast_stats) == \
-            _hdk_stats_fingerprint(legacy_stats)
-        assert fast.total_keys() == legacy.total_keys()
-        assert fast.per_peer_index_storage() == \
-            legacy.per_peer_index_storage()
-        assert fast.per_peer_postings() == legacy.per_peer_postings()
-        # The index payloads agree too; only lookup routing traffic is
-        # allowed to differ between the profiles.
-        assert _non_lookup_traffic(fast) == _non_lookup_traffic(legacy)
+        network, stats = _build(corpus, **_BENCH_KNOBS)
+        assert _golden_summary(network, stats) == GOLDEN["bench"]
 
     def test_default_config_traffic_byte_identical(self, corpus):
-        # With every new knob off, fast vs legacy is the pre-existing
-        # contract: byte-identical traffic, not just identical state.
-        fast, _ = _build(corpus, kernel_profile="fast")
-        legacy, _ = _build(corpus, kernel_profile="legacy")
-        assert state_fingerprint(fast) == state_fingerprint(legacy)
-        assert fast.bytes_by_kind() == legacy.bytes_by_kind()
-        assert fast.bytes_sent_total() == legacy.bytes_sent_total()
-        assert fast.messages_sent_total() == legacy.messages_sent_total()
+        network, stats = _build(corpus)
+        assert _golden_summary(network, stats) == GOLDEN["default"]
 
     def test_queries_identical_after_indexing(self, corpus):
         from repro.corpus.queries import QueryWorkload, QueryWorkloadConfig
         workload = QueryWorkload.from_corpus(
             corpus, QueryWorkloadConfig(pool_size=10, seed=13))
-        fast, _ = _build(corpus, kernel_profile="fast",
-                         packed_postings=True, batch_index_lookups=True)
-        legacy, _ = _build(corpus, kernel_profile="legacy")
-        origins = sorted(fast.peer_ids())
+        network, _ = _build(corpus, **_BENCH_KNOBS)
+        origins = sorted(network.peer_ids())
+        records = []
         for index in range(8):
             origin = origins[index % len(origins)]
-            terms = list(workload.pool[index])
-            fast_results, _ = fast.query(origin, terms)
-            legacy_results, _ = legacy.query(origin, terms)
-            assert [(doc.doc_id, doc.score) for doc in fast_results] == \
-                [(doc.doc_id, doc.score) for doc in legacy_results]
+            results, _ = network.query(origin, list(workload.pool[index]))
+            records.append([(doc.doc_id, doc.score) for doc in results])
+        assert _digest(records) == GOLDEN_BENCH_QUERIES

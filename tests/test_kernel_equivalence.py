@@ -1,30 +1,80 @@
-"""Acceptance gate for the scale-out kernel optimisations.
+"""Golden pins for the scale-out event kernel and ring.
 
-The rewritten event kernel (packed ``Event``/``EventQueue``), the lazy
-churn-local DHT table maintenance and the vectorized owner-side BM25 are
-*accelerations*: at seed sizes the optimized network must reproduce the
-pre-optimisation kernel byte-for-byte — same results, same scores, same
-per-kind traffic, same traces.  ``AlvisNetwork(kernel_profile="legacy")``
-pins the old behaviour (``LegacyEventQueue`` + eager table rebuilds), so
-these tests build one network per profile from identical seeds and
-compare everything the benchmarks measure.
+The packed ``Event``/``EventQueue`` kernel, churn-local lazy DHT table
+maintenance, the route memo, the hop fast path and the vectorized
+owner-side BM25 are *accelerations*: at seed sizes they must reproduce
+the pre-optimisation kernel byte for byte — same results, same scores,
+same per-kind traffic, same traces, same virtual clock.  The constants
+below were captured while a pre-optimisation twin still ran beside the
+optimised network and agreed with it on every one of them; each case
+now builds one network and asserts them.  They hold with and without
+``REPRO_PURE_PYTHON=1``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.config import AlvisConfig
+from repro.core.fingerprint import state_fingerprint
 from repro.core.network import AlvisNetwork
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
-from repro.sim.events import EventQueue, LegacyEventQueue
+
+#: Index-phase traffic of the default-config build (10 peers, seed 2).
+_BUILD_TRAFFIC = {
+    "CollectionGet": 468.0, "CollectionPublish": 855.0,
+    "CollectionReply": 864.0, "DfGet": 36063.0, "DfPublish": 71971.0,
+    "DfReply": 71971.0, "ExpandNotify": 48846.0,
+    "PublishAck": 18620.0, "PublishKey": 1260708.0,
+}
+
+GOLDEN = {
+    "index_build": {
+        "state": "17b09cb7e3a5d7c8687e0ccc90aa471a441c8bd5",
+        "bytes_by_kind": dict(_BUILD_TRAFFIC, LookupHop=2960652.0),
+        "messages": 44886.0,
+        "now": 0.0,
+    },
+    "sync_queries": {
+        "state": "17b09cb7e3a5d7c8687e0ccc90aa471a441c8bd5",
+        "bytes_by_kind": dict(_BUILD_TRAFFIC, LookupHop=2969152.0,
+                              ProbeKey=4071.0, ProbeReply=8772.0),
+        "messages": 45115.0,
+        "now": 0.0,
+        "records": "b9fe9175ebac5e5237057f49387d660e071762d4",
+    },
+    "async_jobs": {
+        "state": "17b09cb7e3a5d7c8687e0ccc90aa471a441c8bd5",
+        "bytes_by_kind": dict(_BUILD_TRAFFIC, LookupHop=2966036.0,
+                              ProbeBatch=2630.0, ProbeBatchReply=6815.0),
+        "messages": 45024.0,
+        "now": 0.3226087798040933,
+        "records": "e50d160613d921a05079ca312ccb43372004e60f",
+    },
+    "churn_queries": {
+        "state": "8d28fb22ee5cb34523d30a5a3dcfa6d96c37dd60",
+        "bytes_by_kind": {
+            "CollectionGet": 572.0, "CollectionPublish": 1045.0,
+            "CollectionReply": 1056.0, "DfGet": 42181.0,
+            "DfPublish": 82229.0, "DfReply": 82229.0,
+            "ExpandNotify": 55233.0, "IndexHandover": 367867.0,
+            "LookupHop": 3377696.0, "ProbeKey": 2244.0,
+            "ProbeReply": 5563.0, "PublishAck": 26810.0,
+            "PublishKey": 1266081.0,
+        },
+        "messages": 51520.0,
+        "now": 0.0,
+        "records": "87d5c81c02b3b5e9faaabc312c1ae2003d516dc3",
+        "peers": "9a0044d22c71f4a2fc21d61f56f3df1b1c1b6dee",
+    },
+}
 
 
-def _build_network(kernel_profile, corpus, config=None, num_peers=10,
-                   seed=2, mode="hdk"):
+def _build_network(corpus, config=None, num_peers=10, seed=2, mode="hdk"):
     network = AlvisNetwork(num_peers=num_peers,
-                           config=config or AlvisConfig(),
-                           seed=seed, kernel_profile=kernel_profile)
+                           config=config or AlvisConfig(), seed=seed)
     network.distribute_documents(corpus.documents())
     network.build_index(mode=mode)
     return network
@@ -55,77 +105,58 @@ def _trace_fingerprint(trace):
     }
 
 
+def _digest(value):
+    return hashlib.sha1(repr(value).encode("utf-8")).hexdigest()
+
+
+def _record(results, trace):
+    return ([(doc.doc_id, doc.score) for doc in results],
+            _trace_fingerprint(trace))
+
+
+def _summary(network, **extra):
+    return dict(state=state_fingerprint(network),
+                bytes_by_kind=network.bytes_by_kind(),
+                messages=network.messages_sent_total(),
+                now=network.simulator.now, **extra)
+
+
+def _sync_queries(network, workload, origins, count):
+    records = []
+    for index in range(count):
+        origin = origins[index % len(origins)]
+        records.append(_record(*network.query(origin,
+                                              list(workload.pool[index]))))
+    return records
+
+
 class TestKernelProfileEquivalence:
-    """fast vs legacy: byte/trace equality at seed sizes."""
-
-    def test_profiles_select_queue_and_ring_mode(self, corpus):
-        fast = _build_network("fast", corpus)
-        legacy = _build_network("legacy", corpus)
-        assert type(fast.simulator.queue) is EventQueue
-        assert type(legacy.simulator.queue) is LegacyEventQueue
-        assert fast.ring.lazy_tables
-        assert not legacy.ring.lazy_tables
-
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(ValueError):
-            AlvisNetwork(num_peers=2, seed=1, kernel_profile="turbo")
+    """Golden pins: index build, sync and async queries, churn."""
 
     def test_index_build_identical(self, corpus):
-        fast = _build_network("fast", corpus)
-        legacy = _build_network("legacy", corpus)
-        assert fast.total_keys() == legacy.total_keys()
-        assert fast.per_peer_index_storage() == \
-            legacy.per_peer_index_storage()
-        assert fast.per_peer_postings() == legacy.per_peer_postings()
-        assert fast.bytes_sent_total() == legacy.bytes_sent_total()
-        assert fast.bytes_by_kind() == legacy.bytes_by_kind()
+        network = _build_network(corpus)
+        assert _summary(network) == GOLDEN["index_build"]
 
     def test_query_traces_identical(self, corpus, workload):
-        fast = _build_network("fast", corpus)
-        legacy = _build_network("legacy", corpus)
-        origins = fast.peer_ids()
-        for index in range(12):
-            origin = origins[index % len(origins)]
-            terms = list(workload.pool[index])
-            fast_results, fast_trace = fast.query(origin, terms)
-            legacy_results, legacy_trace = legacy.query(origin, terms)
-            assert [(doc.doc_id, doc.score) for doc in fast_results] == \
-                [(doc.doc_id, doc.score) for doc in legacy_results]
-            assert _trace_fingerprint(fast_trace) == \
-                _trace_fingerprint(legacy_trace)
-        assert fast.bytes_sent_total() == legacy.bytes_sent_total()
-        assert fast.messages_sent_total() == legacy.messages_sent_total()
+        network = _build_network(corpus)
+        records = _sync_queries(network, workload, network.peer_ids(), 12)
+        assert _summary(network, records=_digest(records)) == \
+            GOLDEN["sync_queries"]
 
     def test_async_runtime_jobs_identical(self, corpus, workload):
-        config = AlvisConfig(async_queries=True)
-        fast = _build_network("fast", corpus, config=config)
-        legacy = _build_network("legacy", corpus, config=config)
-        queries = [list(workload.pool[index]) for index in range(10)]
-        fast_jobs = fast.run_queries(queries, arrival_rate=200.0)
-        legacy_jobs = legacy.run_queries(queries, arrival_rate=200.0)
-        assert len(fast_jobs) == len(legacy_jobs)
-        for fast_job, legacy_job in zip(fast_jobs, legacy_jobs):
-            assert [(doc.doc_id, doc.score) for doc in fast_job.results] \
-                == [(doc.doc_id, doc.score) for doc in legacy_job.results]
-            assert _trace_fingerprint(fast_job.trace) == \
-                _trace_fingerprint(legacy_job.trace)
-        assert fast.simulator.now == legacy.simulator.now
-        assert fast.bytes_sent_total() == legacy.bytes_sent_total()
+        network = _build_network(corpus,
+                                 config=AlvisConfig(async_queries=True))
+        jobs = network.run_queries(
+            [list(workload.pool[index]) for index in range(10)],
+            arrival_rate=200.0)
+        records = [_record(job.results, job.trace) for job in jobs]
+        assert _summary(network, records=_digest(records)) == \
+            GOLDEN["async_jobs"]
 
     def test_churn_then_queries_identical(self, corpus, workload):
-        fast = _build_network("fast", corpus, num_peers=12)
-        legacy = _build_network("legacy", corpus, num_peers=12)
-        for network in (fast, legacy):
-            churn = network.churn()
-            churn.run_session(joins=4, leaves=4)
-        assert sorted(fast.peer_ids()) == sorted(legacy.peer_ids())
-        origins = sorted(fast.peer_ids())
-        for index in range(8):
-            origin = origins[index % len(origins)]
-            terms = list(workload.pool[index])
-            fast_results, fast_trace = fast.query(origin, terms)
-            legacy_results, legacy_trace = legacy.query(origin, terms)
-            assert _trace_fingerprint(fast_trace) == \
-                _trace_fingerprint(legacy_trace)
-            assert [(doc.doc_id, doc.score) for doc in fast_results] == \
-                [(doc.doc_id, doc.score) for doc in legacy_results]
+        network = _build_network(corpus, num_peers=12)
+        network.churn().run_session(joins=4, leaves=4)
+        origins = sorted(network.peer_ids())
+        records = _sync_queries(network, workload, origins, 8)
+        assert _summary(network, records=_digest(records),
+                        peers=_digest(origins)) == GOLDEN["churn_queries"]

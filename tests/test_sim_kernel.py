@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import (EventQueue, LegacyEventQueue, Simulator)
+from repro.sim.events import EventQueue, Simulator
 from repro.sim.metrics import MetricsRegistry
 
 
@@ -253,37 +253,6 @@ class TestCancelStress:
         assert len(queue) == 0
 
 
-class TestLegacyEventQueue:
-    """The preserved pre-optimisation queue must behave identically."""
-
-    def test_same_semantics_as_fast_queue(self):
-        for queue in (EventQueue(), LegacyEventQueue()):
-            order = []
-            queue.push(2.0, lambda: order.append("b"))
-            first = queue.push(1.0, lambda: order.append("a"))
-            queue.push(3.0, lambda: order.append("c"))
-            first.cancel()
-            assert len(queue) == 2
-            assert queue.peek_time() == 2.0
-            while queue:
-                queue.pop().callback()
-            assert order == ["b", "c"]
-
-    def test_simulator_generic_loop_drives_legacy_queue(self):
-        sim = Simulator(queue=LegacyEventQueue())
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(sim.now))
-        sim.schedule(0.5, lambda: fired.append(sim.now))
-        assert sim.run() == 2
-        assert fired == [0.5, 1.0]
-        assert sim.now == 1.0
-        sim.schedule(1.0, lambda: fired.append(sim.now))
-        sim.schedule(5.0, lambda: fired.append(sim.now))
-        assert sim.run_until(2.0) == 1
-        assert sim.now == 2.0
-        assert sim.events_processed == 3
-
-
 class TestSimulator:
     def test_run_to_exhaustion(self):
         sim = Simulator()
@@ -326,6 +295,7 @@ class TestSimulator:
         assert sim.now == 2.0
         sim.run()
         assert fired == ["early", "late"]
+        assert sim.events_processed == 2   # both loops feed the counter
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
