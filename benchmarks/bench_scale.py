@@ -6,7 +6,7 @@ own subprocess (isolated peak RSS).
 Smoke mode (default, CI): one 1k-peer leg under a hard per-leg
 timeout, whose built index (``state_fingerprint``) and top-k digest
 must equal golden constants.  Run under ``REPRO_PURE_PYTHON=1`` the
-same constants gate the pure-Python packed-wire and bulk-hop fallbacks.
+same constants gate the pure-Python BM25 and bulk-hop fallbacks.
 
 ``BENCH_FULL=1``: the full 1k -> 10k -> 100k sweep, written to
 ``BENCH_scale.json``.  Acceptance: the sweep completes at every size

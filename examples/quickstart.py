@@ -284,37 +284,32 @@ def main() -> None:
     for criterion in report.criteria:
         print(f"    {criterion}")
 
-    # 12. The packed indexing phase.  Indexing is the other scalability
+    # 12. The batched indexing phase.  Indexing is the other scalability
     #     axis: before a single query runs, every peer resolves DHT
     #     owners for each term and HDK key it publishes, and ships its
-    #     statistics and posting lists there.  Two knobs make that
-    #     phase scale like the query phase: ``packed_postings`` keeps
-    #     posting lists in the flat wire layout (the exact bytes the
-    #     §8 codec writes — ``wire_size()`` is unchanged, so traffic
-    #     accounting stays byte-identical), and ``batch_index_lookups``
-    #     resolves each publication batch's keys in one shared frontier
-    #     walk with an epoch-scoped routing cache, so owner resolution
-    #     stops re-routing keys the network already located.  The built
-    #     index is identical either way — tests/test_index_equivalence.py
-    #     pins the per-knob equivalence contracts at seed size, and
-    #     bench_scale.py's smoke leg pins the 1k-peer index's state
-    #     fingerprint.
+    #     statistics and posting lists there.  ``batch_index_lookups``
+    #     makes that phase scale like the query phase: it resolves each
+    #     publication batch's keys in one shared frontier walk with an
+    #     epoch-scoped routing cache, so owner resolution stops
+    #     re-routing keys the network already located.  Only LookupHop
+    #     traffic changes; the built index is identical either way —
+    #     tests/test_index_equivalence.py pins that contract at seed
+    #     size, and bench_scale.py's smoke leg pins the 1k-peer index's
+    #     state fingerprint.
     from repro.core.fingerprint import state_fingerprint
 
-    plain = AlvisNetwork(num_peers=8, seed=42, config=AlvisConfig())
-    packed = AlvisNetwork(
-        num_peers=8, seed=42,
-        config=AlvisConfig(packed_postings=True,
-                           batch_index_lookups=True))
-    for candidate in (plain, packed):
+    serial = AlvisNetwork(num_peers=8, seed=42, config=AlvisConfig())
+    batched = AlvisNetwork(num_peers=8, seed=42,
+                           config=AlvisConfig(batch_index_lookups=True))
+    for candidate in (serial, batched):
         candidate.distribute_documents(sample_documents())
         candidate.build_index(mode="hdk")
-    print("\npacked + batched indexing phase:")
+    print("\nbatched indexing phase:")
     print(f"  identical index: "
-          f"{state_fingerprint(packed) == state_fingerprint(plain)}")
+          f"{state_fingerprint(batched) == state_fingerprint(serial)}")
     print(f"  lookup traffic: "
-          f"{packed.bytes_by_kind().get('LookupHop', 0.0):,.0f} bytes "
-          f"batched vs {plain.bytes_by_kind().get('LookupHop', 0.0):,.0f} "
+          f"{batched.bytes_by_kind().get('LookupHop', 0.0):,.0f} bytes "
+          f"batched vs {serial.bytes_by_kind().get('LookupHop', 0.0):,.0f} "
           f"serial")
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.bloom import BloomFilter
-from repro.core import protocol
 from repro.core.global_stats import (
     COLLECTION_KEY_ID,
     CollectionTotals,
@@ -44,9 +43,10 @@ from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.postings import Posting, PostingList
 from repro.ir.search import LocalSearchEngine
+from repro.net import protocol
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
-from repro.net.transport import Transport
+from repro.net.transport import SimTransport
 from repro.sim.events import Simulator
 from repro.util.rng import make_rng
 
@@ -178,7 +178,7 @@ class SingleTermNetwork:
         self.analyzer = analyzer if analyzer is not None else Analyzer()
         self.account_lookups = account_lookups
         self.simulator = Simulator()
-        self.transport = Transport(
+        self.transport = SimTransport(
             self.simulator,
             latency if latency is not None else ConstantLatency(0.02),
             make_rng(seed, "latency"))

@@ -87,13 +87,16 @@ class AlvisConfig:
     #: Latency model for lattice probes: the deployed client issues all
     #: probes of one lattice level concurrently, so a level costs the
     #: *maximum* of its probe round-trips rather than their sum.  Bytes
-    #: and message counts are unaffected.
+    #: and message counts are unaffected.  Not a policy: it shapes only
+    #: the synchronous path's ``rtt_estimate`` (the async runtime measures
+    #: latency from the clock), so it is deleted with that path.
     parallel_probes: bool = True
 
     #: Cache key->responsible-peer resolutions at the querying peer.
     #: Repeated queries then skip the O(log n) lookup; the cache is
     #: invalidated wholesale on any membership change (off by default so
-    #: traffic measurements reflect cold routing).
+    #: traffic measurements reflect cold routing).  A swept policy (the
+    #: E12 ablation trades routing traffic for cache state), so it stays.
     cache_lookups: bool = False
 
     #: Bound on cached resolutions per peer.
@@ -137,6 +140,7 @@ class AlvisConfig:
     #: retrieved keys, so the stop is conservative; it is an
     #: approximation nonetheless (skipped probes can no longer adjust
     #: scores of already-ranked documents) and therefore off by default.
+    #: A swept policy (E13 trades probes for result quality), so it stays.
     topk_early_stop: bool = False
 
     # ------------------------------------------------------------------
@@ -145,7 +149,7 @@ class AlvisConfig:
 
     #: Execute queries as processes on the discrete-event kernel
     #: (:mod:`repro.core.runtime`): every ``LookupHop``/``ProbeBatch``
-    #: travels through :meth:`Transport.request_async`, so concurrent
+    #: travels through :meth:`SimTransport.request_async`, so concurrent
     #: queries genuinely interleave in virtual time and per-query
     #: *latency* is measured from the clock (``QueryTrace.latency``)
     #: instead of estimated (``rtt_estimate``).  The async path always
@@ -180,14 +184,6 @@ class AlvisConfig:
     # ------------------------------------------------------------------
     # Indexing-phase scale-out (statistics + HDK build)
     # ------------------------------------------------------------------
-
-    #: Ship posting lists through the publish/handover pipeline as
-    #: packed flat byte arrays (:class:`repro.ir.postings.PackedPostings`)
-    #: instead of per-entry ``Posting`` objects.  The packed layout is
-    #: the wire layout, so every message size is *byte-identical* to the
-    #: object form — only CPU and Python-object memory change.  Off by
-    #: default: the object path remains the compatibility mode.
-    packed_postings: bool = False
 
     #: Batch the per-key DHT owner lookups of the statistics and
     #: HDK-publish phases into one ``lookup_many`` round per peer
@@ -255,7 +251,9 @@ class AlvisConfig:
     # ------------------------------------------------------------------
 
     #: Perform the second "refinement" step: forward the query to the
-    #: local engines of peers holding the first-step results.
+    #: local engines of peers holding the first-step results.  A swept
+    #: policy (E9's two-step retrieval trades bytes for recall, one row
+    #: of the truncation trade-off), so it stays.
     refine_with_local_engines: bool = False
 
     #: Refinement re-scores a candidate pool of ``result_k *

@@ -19,9 +19,9 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.keys import Key
 from repro.dht.idspace import clockwise_distance
-from repro.ir.postings import PackedPostings, PostingList
+from repro.ir.postings import PostingList
 
-__all__ = ["KeyEntry", "PackedKeyEntry", "GlobalIndexFragment"]
+__all__ = ["KeyEntry", "GlobalIndexFragment"]
 
 
 @dataclass
@@ -49,56 +49,6 @@ class KeyEntry:
     def wire_size(self) -> int:
         """Bytes to ship this entry during churn handover."""
         return self.storage_bytes()
-
-
-class PackedKeyEntry:
-    """A :class:`KeyEntry` with its postings in packed wire form.
-
-    The handover payload under ``config.packed_postings``: the posting
-    list travels as one flat byte string instead of per-entry objects.
-    The packed layout *is* the wire layout, so :meth:`wire_size` equals
-    the equivalent :class:`KeyEntry`'s — shipping packed entries is
-    byte-identical on the wire.
-    """
-
-    __slots__ = ("key", "packed", "global_df", "contributors",
-                 "popularity", "on_demand")
-
-    def __init__(self, key: Key, packed: PackedPostings, global_df: int,
-                 contributors: Dict[int, int], popularity: float,
-                 on_demand: bool):
-        self.key = key
-        self.packed = packed
-        self.global_df = global_df
-        self.contributors = contributors
-        self.popularity = popularity
-        self.on_demand = on_demand
-
-    @classmethod
-    def pack(cls, entry: KeyEntry) -> "PackedKeyEntry":
-        return cls(key=entry.key,
-                   packed=PackedPostings.from_list(entry.postings),
-                   global_df=entry.global_df,
-                   contributors=dict(entry.contributors),
-                   popularity=entry.popularity,
-                   on_demand=entry.on_demand)
-
-    def to_entry(self) -> KeyEntry:
-        """Rebuild the object-form entry (receiver side of handover)."""
-        return KeyEntry(key=self.key,
-                        postings=self.packed.to_posting_list(),
-                        global_df=self.global_df,
-                        contributors=dict(self.contributors),
-                        popularity=self.popularity,
-                        on_demand=self.on_demand)
-
-    def wire_size(self) -> int:
-        return (self.key.wire_size() + self.packed.wire_size()
-                + 16 * len(self.contributors) + 24)
-
-    def __repr__(self) -> str:
-        return (f"PackedKeyEntry(key={self.key!r}, "
-                f"postings={len(self.packed)})")
 
 
 class GlobalIndexFragment:

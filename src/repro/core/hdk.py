@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, TYPE_CHECKING
 
-from repro.core import protocol
 from repro.core.config import AlvisConfig
 from repro.core.keys import Key
-from repro.ir.postings import PackedPostings
+from repro.net import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.network import AlvisNetwork
@@ -111,11 +110,8 @@ class HDKIndexer:
 
         With ``config.batch_index_lookups`` every candidate's owner is
         resolved in one shared ``lookup_many`` round per peer (same
-        owners, fewer ``LookupHop`` messages); with
-        ``config.packed_postings`` the published posting lists travel in
-        packed wire form (byte-identical sizes).
+        owners, fewer ``LookupHop`` messages).
         """
-        packed = self.config.packed_postings
         for peer in self.network.peers():
             candidates = pending.get(peer.peer_id, [])
             if not candidates:
@@ -140,8 +136,6 @@ class HDKIndexer:
                     local_df = postings.global_df
                     if local_df == 0:
                         continue
-                    if packed:
-                        postings = PackedPostings.from_list(postings)
                     items.append({"key_terms": list(key.terms),
                                   "postings": postings,
                                   "local_df": local_df})

@@ -29,10 +29,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core import protocol
 from repro.core.access import AccessPolicy
 from repro.core.config import AlvisConfig
-from repro.core.global_index import PackedKeyEntry
 from repro.core.global_stats import COLLECTION_KEY_ID
 from repro.core.hdk import HDKIndexer, HDKStats
 from repro.core.keys import Key
@@ -49,7 +47,7 @@ from repro.dht.ring import DHTRing
 from repro.dht.routing import FingerTableStrategy, HopSpaceFingers, uniform_ids
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
-from repro.ir.postings import PackedPostings
+from repro.net import protocol
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
 from repro.net.transport import SimTransport, TransportBackend
@@ -450,8 +448,6 @@ class AlvisNetwork:
             postings = peer.engine.top_k_for_key(
                 [term], self.config.truncation_k, stats=stats)
             local_df = postings.global_df
-            if self.config.packed_postings:
-                postings = PackedPostings.from_list(postings)
             if owners_map is not None:
                 owner = owners_map[key.key_id]
             else:
@@ -629,8 +625,6 @@ class AlvisNetwork:
             target = self._add_peer_object_only(to_peer)
         entries = source.fragment.extract_range(range_lo, range_hi)
         if entries:
-            if self.config.packed_postings:
-                entries = [PackedKeyEntry.pack(entry) for entry in entries]
             self.send(from_peer, to_peer, protocol.HANDOVER,
                       {"entries": entries})
         if not self.ring.contains(from_peer):

@@ -10,27 +10,26 @@ A peer simultaneously plays two roles (Section 2):
   global term statistics and (under QDI) popularity monitoring.
 
 All network-facing behaviour is in :meth:`on_message`, keyed by the
-protocol kinds of :mod:`repro.core.protocol`.
+protocol kinds of :mod:`repro.net.protocol`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core import protocol
 from repro.core.access import AccessControlError, AccessManager, AccessPolicy
 from repro.core.cache import LRUByteCache
 from repro.core.config import AlvisConfig
-from repro.core.global_index import (GlobalIndexFragment, KeyEntry,
-                                     PackedKeyEntry)
+from repro.core.global_index import GlobalIndexFragment, KeyEntry
 from repro.core.global_stats import GlobalStatsCache, StatsStore
 from repro.core.keys import Key
 from repro.core.qdi import QDIManager
 from repro.core.services import NetworkServices
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
-from repro.ir.postings import PackedPostings, PostingList
+from repro.ir.postings import PostingList
 from repro.ir.search import LocalSearchEngine
+from repro.net import protocol
 from repro.net.message import Message
 
 __all__ = ["AlvisPeer"]
@@ -178,11 +177,8 @@ class AlvisPeer:
         accepted = 0
         for item in message.payload["items"]:
             key = Key(item["key_terms"])
-            postings = item["postings"]
-            if isinstance(postings, PackedPostings):
-                postings = postings.to_posting_list()
-            self.fragment.publish(key, postings, int(item["local_df"]),
-                                  contributor,
+            self.fragment.publish(key, item["postings"],
+                                  int(item["local_df"]), contributor,
                                   on_demand=bool(item.get("on_demand")))
             accepted += 1
         return message.reply(protocol.PUBLISH_ACK, {"accepted": accepted})
@@ -316,8 +312,6 @@ class AlvisPeer:
 
     def _on_handover(self, message: Message) -> Optional[Message]:
         for entry in message.payload["entries"]:
-            if isinstance(entry, PackedKeyEntry):
-                entry = entry.to_entry()
             assert isinstance(entry, KeyEntry)
             self.fragment.install(entry)
         return None

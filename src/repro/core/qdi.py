@@ -38,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
-from repro.core import protocol
 from repro.core.config import AlvisConfig
 from repro.core.global_index import GlobalIndexFragment, KeyEntry
 from repro.core.keys import Key
 from repro.ir.postings import PostingList
+from repro.net import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.peer import AlvisPeer

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core import protocol
 from repro.core.cache import LRUByteCache
 from repro.core.keys import Key
 from repro.core.lattice import ExplorationOutcome, LatticeExplorer
 from repro.core.ranking import rank_with_margin
 from repro.ir.postings import PostingList
 from repro.ir.scoring import BM25Parameters, bm25_weight_ceiling
+from repro.net import protocol
 from repro.net.transport import DeliveryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

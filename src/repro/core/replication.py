@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, TYPE_CHECKING
 
-from repro.core import protocol
 from repro.core.global_index import KeyEntry
+from repro.net import protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.network import AlvisNetwork

@@ -21,15 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from repro.core import protocol
 from repro.core.keys import Key
-from repro.core.lattice import (
-    ExplorationOutcome,
-    LatticeExplorer,
-    ProbeStatus,
-)
+from repro.core.lattice import ExplorationOutcome, ProbeStatus
 from repro.core.query_engine import QueryEngine
 from repro.core.ranking import RankedDocument, merge_and_rank
+from repro.net import protocol
 from repro.net.transport import DeliveryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -138,11 +134,6 @@ class RetrievalComponent:
     def __init__(self, network: "AlvisNetwork"):
         self.network = network
         self.engine = QueryEngine(network)
-
-    @property
-    def explorer(self) -> LatticeExplorer:
-        """Compatibility alias — the engine owns the explorer."""
-        return self.engine.explorer
 
     # ------------------------------------------------------------------
 

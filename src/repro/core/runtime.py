@@ -9,7 +9,7 @@ to *a network serving traffic*:
 
 * every query is a :class:`~repro.sim.procs.Proc` on the event kernel;
   its ``LookupHop``/``ProbeBatch`` messages travel through
-  :meth:`Transport.request_async`, so lookups and probes from different
+  :meth:`SimTransport.request_async`, so lookups and probes from different
   queries genuinely interleave and per-query **latency** is measured
   from the virtual clock (``QueryTrace.latency``), not estimated;
 
@@ -64,12 +64,12 @@ from dataclasses import dataclass, field
 from typing import (Deque, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
 
-from repro.core import protocol
 from repro.core.keys import Key
 from repro.core.lattice import ExplorationOutcome
 from repro.core.ranking import RankedDocument, merge_and_rank
 from repro.core.retrieval import QueryTrace
 from repro.dht.congestion import CongestionWindow
+from repro.net import protocol
 from repro.net.message import Message
 from repro.net.transport import DeliveryError
 from repro.sim.procs import Future, Proc, all_of

@@ -514,7 +514,7 @@ class DHTRing:
         A generator to be driven by :meth:`repro.sim.events.Simulator.spawn`
         (or ``yield from`` inside another proc): each routing round sends
         its shared ``LookupHop`` messages through
-        :meth:`~repro.net.transport.Transport.request_async` and *waits*
+        :meth:`~repro.net.transport.SimTransport.request_async` and *waits*
         for their delivery before advancing the frontier, so lookups from
         different queries genuinely interleave in virtual time.  With an
         unchanged membership the hop sequence — and therefore the routed

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-from repro.core import protocol
+from repro.net import protocol
 
 __all__ = ["TrafficBreakdown", "traffic_breakdown"]
 

@@ -7,10 +7,10 @@ so peak RSS is attributable::
     PYTHONPATH=src python -m repro.eval.scale \
         --peers 10000 --queries 36 --churn 90 --json -
 
-A leg builds the network with packed postings and batched index
-lookups, runs the statistics phase and HDK index build, then drives a
-*churning query workload*: join/leave events interleaved with queries
-through the async runtime.  Each membership change stamps every
+A leg builds the network with batched index lookups, runs the
+statistics phase and HDK index build, then drives a *churning query
+workload*: join/leave events interleaved with queries through the
+async runtime.  Each membership change stamps every
 routing table stale; the ring refreshes only the nodes a lookup
 actually touches.
 
@@ -53,10 +53,9 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
                                     min_terms=2, max_terms=3, seed=seed))
     timings: Dict[str, float] = {}
 
-    # The indexing-phase scale-out: packed postings are byte-identical;
-    # batched lookups change only LookupHop traffic, never HDK contents.
-    config = AlvisConfig(async_queries=True, packed_postings=True,
-                         batch_index_lookups=True)
+    # The indexing-phase scale-out: batched lookups change only
+    # LookupHop traffic, never HDK contents.
+    config = AlvisConfig(async_queries=True, batch_index_lookups=True)
 
     started = time.perf_counter()
     network = AlvisNetwork(num_peers=peers, config=config, seed=seed)

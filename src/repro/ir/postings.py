@@ -15,21 +15,20 @@ then 16 bytes (``>Qd``) per posting.  The entry block is produced and
 consumed by a numpy-vectorized path (big-endian structured dtype, so
 ``tobytes()`` is bitwise-identical to the ``struct.pack`` loop) with a
 pure-Python fallback; ``REPRO_PURE_PYTHON=1`` pins the fallback.
-:class:`PackedPostings` keeps a list in this packed form inside simulator
-payloads — same ``wire_size()``, so traffic accounting is byte-identical
-whether a payload carries the object or the packed form.
+Inside the simulator a payload carries the :class:`PostingList` itself;
+its ``wire_size()`` is the length of this encoding.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.npcompat import np
 
-__all__ = ["Posting", "PostingList", "PackedPostings",
+__all__ = ["Posting", "PostingList",
            "POSTING_WIRE_BYTES", "POSTINGS_ENVELOPE_BYTES",
            "pack_postings", "unpack_postings",
            "pack_entries", "unpack_entries"]
@@ -345,75 +344,3 @@ def unpack_postings(data: bytes,
     next_offset = (offset + _LIST_ENVELOPE_BYTES
                    + count * POSTING_WIRE_BYTES)
     return posting_list, next_offset
-
-
-class PackedPostings:
-    """A posting list in its packed wire form, materialized lazily.
-
-    The simulator's indexing-phase payloads (HDK publish, incremental
-    publish, churn handover) can carry this instead of a
-    :class:`PostingList`: ``wire_size()`` is identical by construction,
-    so the byte accounting cannot tell the two apart, while the packed
-    form is exactly what a real deployment would put on the wire.
-
-    Packing is deferred: the byte block's *size* follows from the entry
-    count alone, so a simulated delivery (which hands the object across
-    by reference and only ever asks for its size) never pays for the
-    encode.  Reading :attr:`data` — the real wire codec, the UDP
-    transport, the round-trip tests — materializes and caches the exact
-    bytes :func:`pack_postings` would produce.
-    """
-
-    __slots__ = ("_data", "_entries", "global_df", "count")
-
-    def __init__(self, data: bytes, global_df: int, count: int):
-        self._data = data
-        self._entries: Optional[Sequence[Posting]] = None
-        self.global_df = int(global_df)
-        self.count = int(count)
-
-    @classmethod
-    def from_list(cls, postings: "PostingList") -> "PackedPostings":
-        """Wrap a posting list (the sender-side conversion); lazy."""
-        packed = cls.__new__(cls)
-        packed._data = None
-        packed._entries = postings.entries
-        packed.global_df = int(postings.global_df)
-        packed.count = len(postings.entries)
-        return packed
-
-    @property
-    def data(self) -> bytes:
-        """The packed bytes (encoded on first access, then cached)."""
-        if self._data is None:
-            self._data = (_ENVELOPE_STRUCT.pack(
-                self.global_df, 1 if self.truncated else 0, self.count)
-                + pack_entries(self._entries))
-        return self._data
-
-    def to_posting_list(self) -> "PostingList":
-        """Unpack back into an object posting list (receiver side)."""
-        if self._entries is not None:
-            # Entries came straight from a PostingList, so they already
-            # satisfy the canonical invariants the decode path enforces.
-            return PostingList._from_canonical(
-                self._entries,
-                max(self.global_df, len(self._entries)))
-        posting_list, _next_offset = unpack_postings(self._data)
-        return posting_list
-
-    @property
-    def truncated(self) -> bool:
-        return self.count < self.global_df
-
-    def __len__(self) -> int:
-        return self.count
-
-    def wire_size(self) -> int:
-        """Identical to the equivalent ``PostingList.wire_size()``."""
-        return _LIST_ENVELOPE_BYTES + POSTING_WIRE_BYTES * self.count
-
-    def __repr__(self) -> str:
-        flag = "truncated" if self.truncated else "complete"
-        return (f"PackedPostings({self.count}/{self.global_df} {flag}, "
-                f"{self.wire_size()}B)")

@@ -59,7 +59,6 @@ PINNED_DEFAULTS: Dict[str, Any] = {
     "pipeline_levels": False,
     "request_timeout": 0.0,
     # indexing-phase scale-out (off = seed-comparable publish traffic)
-    "packed_postings": False,
     "batch_index_lookups": False,
     # congestion control (off = unthrottled runtime, E8 baseline)
     "congestion_control": False,

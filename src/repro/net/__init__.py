@@ -12,10 +12,8 @@ Point-to-point messaging between peers with:
 * a size-exact **wire codec** (:mod:`repro.net.wire`) shared by the real
   backend and the cluster handshake.
 
-``Transport`` remains an alias for :class:`SimTransport` so existing
-call-sites keep working; :class:`~repro.net.udp.UdpTransport` is imported
-lazily by the cluster layer (it pulls in asyncio machinery the simulator
-never needs).
+:class:`~repro.net.udp.UdpTransport` is imported lazily by the cluster
+layer (it pulls in asyncio machinery the simulator never needs).
 """
 
 from repro.net.latency import (
@@ -30,7 +28,6 @@ from repro.net.transport import (
     Endpoint,
     RequestOutcome,
     SimTransport,
-    Transport,
     TransportBackend,
 )
 
@@ -46,6 +43,5 @@ __all__ = [
     "Endpoint",
     "RequestOutcome",
     "SimTransport",
-    "Transport",
     "TransportBackend",
 ]

@@ -9,8 +9,7 @@ The constants live in the :mod:`repro.net` layer because a message kind is
 a wire-level concept: the binary codec (:mod:`repro.net.wire`) keys its
 per-kind schemas and tag table on these strings, and the layering rule
 (``repro lint``'s RPL050) forbids the codec from importing upward into
-``core``.  :mod:`repro.core.protocol` re-exports everything for the
-historical import path.
+``core``.
 """
 
 from __future__ import annotations

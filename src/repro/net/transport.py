@@ -4,41 +4,41 @@ The query engine and the async runtime talk to the network through the
 :class:`TransportBackend` protocol; :class:`SimTransport` below is its
 discrete-event implementation (and the default), while
 :mod:`repro.net.udp` provides a real asyncio/UDP backend with the same
-surface.  ``Transport`` remains an alias of :class:`SimTransport` for
-backwards compatibility.
+surface.
 
 Two delivery modes are offered:
 
-* :meth:`Transport.request` — synchronous request/response.  The handler of
-  the destination endpoint runs immediately; bytes are accounted in both
-  directions and the round-trip latency is *returned* so callers can
-  accumulate per-operation virtual time without running the event loop.
-  The distributed-IR layers (L3/L4) use this mode: their protocols are
-  strictly request/reply and the interesting measurements are bytes and
-  message counts.
+* :meth:`SimTransport.request` — synchronous request/response.  The
+  handler of the destination endpoint runs immediately; bytes are
+  accounted in both directions and the round-trip latency is *returned*
+  so callers can accumulate per-operation virtual time without running
+  the event loop.  The distributed-IR layers (L3/L4) use this mode:
+  their protocols are strictly request/reply and the interesting
+  measurements are bytes and message counts.
 
-* :meth:`Transport.send_async` — schedules delivery through the simulator's
-  event queue after a sampled latency.  The DHT congestion-control
-  experiment (E8) uses this mode, where queueing effects matter.
+* :meth:`SimTransport.send_async` — schedules delivery through the
+  simulator's event queue after a sampled latency.  The DHT
+  congestion-control experiment (E8) uses this mode, where queueing
+  effects matter.
 
-* :meth:`Transport.request_async` — the correlated request/reply API the
-  async query runtime builds on: every call gets a request id and a
+* :meth:`SimTransport.request_async` — the correlated request/reply API
+  the async query runtime builds on: every call gets a request id and a
   :class:`~repro.sim.procs.Future` that resolves with a
   :class:`RequestOutcome` when the reply arrives (or, for one-way
   messages, on delivery).  Churn drops and timeouts are *surfaced* in
   the outcome instead of raising, and per-destination in-flight counts
   are tracked for the monitoring dashboard.
 
-With :meth:`Transport.configure_service_model` each destination endpoint
-additionally gets a *bounded service queue* on the event kernel (the
-Klemm/NCA'06 queueing model of ``repro.dht.congestion``, wired into
-delivery): async messages wait in a finite FIFO and are processed at a
-fixed ``service_rate``, so hot owners exhibit real queueing delay — and
-overflow *drops*, surfaced to async senders as an ``"overflow"`` outcome
-whose notification travels back with one network delay.  Off by default
-(infinite instantaneous capacity, the historical behaviour); only the
-event-loop delivery paths queue, the synchronous compatibility path is
-untouched.
+With :meth:`SimTransport.configure_service_model` each destination
+endpoint additionally gets a *bounded service queue* on the event
+kernel (the Klemm/NCA'06 queueing model of ``repro.dht.congestion``,
+wired into delivery): async messages wait in a finite FIFO and are
+processed at a fixed ``service_rate``, so hot owners exhibit real
+queueing delay — and overflow *drops*, surfaced to async senders as an
+``"overflow"`` outcome whose notification travels back with one network
+delay.  Off by default (infinite instantaneous capacity, the historical
+behaviour); only the event-loop delivery paths queue, the synchronous
+compatibility path is untouched.
 
 Every byte is accounted twice over: globally per message kind
 (``net.bytes.sent.<kind>``) and per destination peer (for load-balance
@@ -59,7 +59,7 @@ from repro.sim.events import Simulator
 from repro.sim.procs import Future
 
 __all__ = ["DeliveryError", "Endpoint", "RequestOutcome", "SimTransport",
-           "Transport", "TransportBackend"]
+           "TransportBackend"]
 
 
 class DeliveryError(Exception):
@@ -68,7 +68,7 @@ class DeliveryError(Exception):
 
 @dataclass
 class RequestOutcome:
-    """Resolution of one :meth:`Transport.request_async` call.
+    """Resolution of one :meth:`SimTransport.request_async` call.
 
     ``status`` is ``"ok"`` (reply received, or one-way delivery
     confirmed), ``"dropped"`` (the destination unregistered before
@@ -745,8 +745,3 @@ class SimTransport:
             timeout_event[0] = self.simulator.schedule(
                 timeout, lambda: finish("timeout", None))
         return future
-
-
-#: Backwards-compatible alias: the simulated transport was simply called
-#: ``Transport`` before the backend seam was extracted.
-Transport = SimTransport

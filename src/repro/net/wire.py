@@ -44,8 +44,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.net import protocol
 from repro.net.message import HEADER_BYTES, Message
-from repro.ir.postings import (POSTING_WIRE_BYTES, PackedPostings,
-                               PostingList, pack_postings, unpack_entries)
+from repro.ir.postings import (POSTING_WIRE_BYTES, PostingList,
+                               pack_postings, unpack_entries)
 
 __all__ = [
     "WIRE_SIZE_DELTA", "MAX_DATAGRAM_BYTES", "WIRE_MAGIC", "WIRE_VERSION",
@@ -226,7 +226,7 @@ def _encode_value(out: bytearray, spec: Any, value: Any,
         out += struct.pack(">H", len(data))
         out += data
     elif spec == "postings":
-        _encode_postings(out, value)
+        out += pack_postings(value)
     elif spec[0] == "list":
         items = list(value)
         out += struct.pack(">I", len(items))
@@ -242,15 +242,6 @@ def _encode_value(out: bytearray, spec: Any, value: Any,
         _encode_fields(out, spec[1], value, context)
     else:
         raise WireError(f"{context}: unknown spec {spec!r}")
-
-
-def _encode_postings(out: bytearray, postings: PostingList) -> None:
-    if isinstance(postings, PackedPostings):
-        # Already in wire form (packed simulator payloads): splice the
-        # bytes straight in — the layouts are identical by construction.
-        out += postings.data
-        return
-    out += pack_postings(postings)
 
 
 def _encode_fields(out: bytearray, schema: Mapping[str, Any],

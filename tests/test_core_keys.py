@@ -127,7 +127,7 @@ class TestKeyIdWireRoundTrip:
     """Interned key-ids survive the UDP wire codec bit-exactly."""
 
     def test_lookup_hop_key_id_round_trip(self):
-        from repro.core import protocol
+        from repro.net import protocol
         from repro.net import wire
         from repro.net.message import Message
 
@@ -138,7 +138,7 @@ class TestKeyIdWireRoundTrip:
         assert decoded.payload["key_id"] == key.key_id
 
     def test_lookup_hop_batched_key_ids_round_trip(self):
-        from repro.core import protocol
+        from repro.net import protocol
         from repro.net import wire
         from repro.net.message import Message
 

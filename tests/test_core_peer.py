@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import protocol
 from repro.core.config import AlvisConfig
 from repro.core.global_index import KeyEntry
 from repro.core.keys import Key
 from repro.core.peer import AlvisPeer
 from repro.ir.documents import Document
 from repro.ir.postings import Posting, PostingList
+from repro.net import protocol
 from repro.net.message import Message
 
 

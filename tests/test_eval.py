@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import protocol
 from repro.eval.bandwidth import traffic_breakdown
 from repro.eval.loadbalance import load_balance_report
 from repro.eval.quality import (
@@ -13,6 +12,7 @@ from repro.eval.quality import (
 )
 from repro.eval.reporting import format_table, print_table
 from repro.eval.storage import storage_report
+from repro.net import protocol
 
 
 class TestOverlap:

@@ -1,21 +1,19 @@
 """Differential acceptance gate for the indexing-phase scale-out.
 
-The indexing-phase optimisations carry three equivalence contracts,
-all pinned here:
+The indexing-phase optimisations carry two equivalence contracts, both
+pinned here:
 
-* ``packed_postings`` (wire-level flat posting arrays) is a pure
-  re-encoding — with the knob on or off, the built index *and every
-  traffic counter* must agree byte for byte;
 * ``batch_index_lookups`` (same-owner bulk statistics round-trips plus
   the batched frontier walk and its routing cache) may reshape
   ``LookupHop`` traffic — fewer, larger hop messages — but must never
   change the index contents nor any *non-lookup* message;
 * the default and the bench configuration (the scale benchmark's
-  ``packed_postings`` + ``batch_index_lookups``) are pinned to golden
-  constants captured while a pre-optimisation twin still built the
-  same index beside them: state, HDK statistics, traffic.
+  ``batch_index_lookups``) are pinned to golden constants captured
+  while a pre-optimisation twin still built the same index beside
+  them: state, HDK statistics, traffic, plus the state and traffic
+  after churn hands the bench index's entries between peers.
 
-Each differential test builds two networks from identical seeds
+The differential test builds two networks from identical seeds
 differing in exactly one switch and compares ``state_fingerprint`` —
 the full per-peer index state digest — plus the relevant traffic
 accounting; each golden test builds one network.
@@ -30,8 +28,8 @@ import pytest
 from repro.core.config import AlvisConfig
 from repro.core.fingerprint import state_fingerprint
 from repro.core.network import AlvisNetwork
-from repro.core.protocol import LOOKUP_HOP
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
+from repro.net.protocol import LOOKUP_HOP
 
 
 #: Index-phase traffic except ``LookupHop`` (24 peers, seed 7): equal
@@ -69,8 +67,18 @@ GOLDEN = {
 #: Top-k of 8 queries on the bench-configuration index.
 GOLDEN_BENCH_QUERIES = "42f8cdd1b01304de9701e779c1b39b983d6eb9d8"
 
+#: The bench-configuration index after two graceful departures and two
+#: churn joins: every moved entry crosses as ``IndexHandover``.
+GOLDEN_BENCH_HANDOVER = {
+    "state": "cf760d10a4db5642d9a4658a97ec15f82d9582cf",
+    "bytes_by_kind": dict(GOLDEN["bench"]["bytes_by_kind"],
+                          IndexHandover=200051.0),
+    "messages": 7885.0,
+    "now": 0.0,
+}
+
 #: The scale benchmark's indexing knobs.
-_BENCH_KNOBS = {"packed_postings": True, "batch_index_lookups": True}
+_BENCH_KNOBS = {"batch_index_lookups": True}
 
 
 @pytest.fixture(scope="module")
@@ -115,22 +123,6 @@ def _golden_summary(network, stats):
             "now": network.simulator.now}
 
 
-class TestPackedPostingsEquivalence:
-    """packed on/off: byte-identical state *and* byte-identical traffic."""
-
-    def test_state_and_traffic_identical(self, corpus):
-        packed, packed_stats = _build(corpus, packed_postings=True)
-        plain, plain_stats = _build(corpus, packed_postings=False)
-        assert state_fingerprint(packed) == state_fingerprint(plain)
-        assert _hdk_stats_fingerprint(packed_stats) == \
-            _hdk_stats_fingerprint(plain_stats)
-        assert packed.bytes_by_kind() == plain.bytes_by_kind()
-        assert packed.bytes_sent_total() == plain.bytes_sent_total()
-        assert packed.messages_sent_total() == plain.messages_sent_total()
-        assert packed.per_peer_index_storage() == \
-            plain.per_peer_index_storage()
-
-
 class TestBatchedLookupEquivalence:
     """batch on/off: identical index, identical non-LookupHop traffic."""
 
@@ -167,6 +159,17 @@ class TestProfileIndexEquivalence:
     def test_default_config_traffic_byte_identical(self, corpus):
         network, stats = _build(corpus)
         assert _golden_summary(network, stats) == GOLDEN["default"]
+
+    def test_bench_config_handover_identical(self, corpus):
+        network, _ = _build(corpus, **_BENCH_KNOBS)
+        for peer_id in sorted(network.peer_ids())[:2]:
+            network.faults.graceful_depart(peer_id)
+        network.churn().join()
+        network.churn().join()
+        assert {"state": state_fingerprint(network),
+                "bytes_by_kind": network.bytes_by_kind(),
+                "messages": network.messages_sent_total(),
+                "now": network.simulator.now} == GOLDEN_BENCH_HANDOVER
 
     def test_queries_identical_after_indexing(self, corpus):
         from repro.corpus.queries import QueryWorkload, QueryWorkloadConfig

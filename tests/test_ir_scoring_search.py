@@ -309,7 +309,7 @@ class TestVectorizedScoring:
         # scoring each present document individually.
         from repro.core.config import AlvisConfig
         from repro.core.peer import AlvisPeer
-        from repro.core import protocol
+        from repro.net import protocol
         from repro.net.message import Message
         peer = AlvisPeer(1, AlvisConfig())
         engine = _engine_with_random_corpus(num_docs=15)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.latency import ConstantLatency, LogNormalLatency, UniformLatency
 from repro.net.message import Message
-from repro.net.transport import DeliveryError, Transport
+from repro.net.transport import DeliveryError, SimTransport
 from repro.sim.events import Simulator
 
 
@@ -74,8 +74,8 @@ class _Sink:
 
 def _make_transport(register_requester=False):
     simulator = Simulator()
-    transport = Transport(simulator, ConstantLatency(0.1),
-                          random.Random(0))
+    transport = SimTransport(simulator, ConstantLatency(0.1),
+                             random.Random(0))
     if register_requester:
         # Async replies are only delivered to live endpoints, so tests
         # expecting a reply back at peer 1 must register it.
@@ -213,8 +213,8 @@ class TestTransportAsync:
                 return 0.3 if dst == 2 else 0.1
 
         simulator = Simulator()
-        transport = Transport(simulator, _PerDestLatency(),
-                              random_module.Random(0))
+        transport = SimTransport(simulator, _PerDestLatency(),
+                                 random_module.Random(0))
         transport.register(1, _Sink())
         transport.register(2, _Echo())
         transport.register(3, _Echo())

@@ -15,8 +15,8 @@ import time
 
 import pytest
 
-from repro.core import protocol
 from repro.ir.postings import Posting, PostingList
+from repro.net import protocol
 from repro.net.message import Message
 from repro.net.transport import DeliveryError
 from repro.net.udp import UdpTransport

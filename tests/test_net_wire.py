@@ -12,9 +12,8 @@ import struct
 
 import pytest
 
-from repro.core import protocol
 from repro.ir.postings import Posting, PostingList
-from repro.net import wire
+from repro.net import protocol, wire
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.wire import (
     MAX_DATAGRAM_BYTES,

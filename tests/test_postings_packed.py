@@ -3,10 +3,8 @@
 Seeded-random (not hypothesis — deterministic in CI) coverage of the
 flat wire layout: pack -> unpack identity over adversarial shapes
 (empty lists, max-score ties, single entries, counts straddling the
-numpy dispatch threshold), bitwise equality between the vectorized and
-pure-Python encoders, and the laziness contract of
-:class:`PackedPostings` (the deferred bytes must be exactly what the
-eager encoder produces, and its sizes must match the byte-size model).
+numpy dispatch threshold), and bitwise equality between the vectorized
+and pure-Python encoders.
 """
 
 import math
@@ -17,7 +15,6 @@ import pytest
 from repro.ir.postings import (
     POSTING_WIRE_BYTES,
     POSTINGS_ENVELOPE_BYTES,
-    PackedPostings,
     Posting,
     PostingList,
     _pack_entries_numpy,
@@ -183,55 +180,3 @@ class TestNumpyPythonBitwiseEquality:
             assert _pack_entries_numpy(entries) == \
                 _pack_entries_python(entries)
 
-
-class TestPackedPostingsLaziness:
-    """The deferred wrapper is indistinguishable from eager packing."""
-
-    def _random_list(self, rng, count):
-        return _as_list(_random_entries(rng, count), rng)
-
-    def test_wire_size_without_materializing(self):
-        rng = random.Random(SEED + 6)
-        plist = self._random_list(rng, 24)
-        packed = PackedPostings.from_list(plist)
-        assert packed.wire_size() == plist.wire_size()
-        assert packed._data is None  # sizing must not force the encode
-
-    def test_data_matches_eager_encoder(self):
-        rng = random.Random(SEED + 7)
-        for count in (0, 1, 7, 8, 9, 40):
-            plist = self._random_list(rng, count)
-            packed = PackedPostings.from_list(plist)
-            assert packed.data == pack_postings(plist)
-            assert len(packed.data) == packed.wire_size()
-
-    def test_wire_constructor_round_trip(self):
-        rng = random.Random(SEED + 8)
-        plist = self._random_list(rng, 16)
-        blob = pack_postings(plist)
-        packed = PackedPostings(blob, plist.global_df,
-                                len(plist.entries))
-        assert packed.data is blob
-        decoded = packed.to_posting_list()
-        assert decoded.entries == plist.entries
-        assert decoded.global_df == plist.global_df
-
-    def test_to_posting_list_both_paths_agree(self):
-        rng = random.Random(SEED + 9)
-        for trial in range(50):
-            plist = self._random_list(rng, rng.randrange(0, 32))
-            lazy = PackedPostings.from_list(plist).to_posting_list()
-            eager = PackedPostings(pack_postings(plist),
-                                   plist.global_df,
-                                   len(plist.entries)).to_posting_list()
-            assert lazy.entries == eager.entries
-            assert lazy.global_df == eager.global_df
-            assert lazy.truncated == eager.truncated
-
-    def test_len_and_truncated(self):
-        plist = PostingList([Posting(1, 2.0), Posting(2, 1.0)],
-                            global_df=5)
-        packed = PackedPostings.from_list(plist)
-        assert len(packed) == 2
-        assert packed.truncated
-        assert "truncated" in repr(packed)
