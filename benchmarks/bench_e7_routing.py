@@ -31,12 +31,30 @@ from repro.util.stats import percentile
 _SIZES = (64, 256, 1024)
 _LOOKUPS = 300
 
+#: Every row of the series (n, placement, fingers, mean hops, p99, max,
+#: mean table size), captured while routing still scanned per-node
+#: finger tables; the closed-form routing must reproduce it exactly.
+GOLDEN_ROWS = [
+    [64, "uniform", "naive", 3.7066666666666666, 6.0, 6, 7.59375],
+    [64, "uniform", "hop-space", 3.8033333333333332, 6.0, 6, 7.0],
+    [64, "skewed", "naive", 3.1133333333333333, 5.0, 6, 7.4375],
+    [64, "skewed", "hop-space", 2.783333333333333, 5.0, 5, 7.0],
+    [256, "uniform", "naive", 4.62, 7.0, 7, 9.62109375],
+    [256, "uniform", "hop-space", 4.773333333333333, 7.0, 7, 9.0],
+    [256, "skewed", "naive", 4.083333333333333, 7.0, 8, 13.125],
+    [256, "skewed", "hop-space", 3.756666666666667, 6.0, 7, 9.0],
+    [1024, "uniform", "naive", 5.526666666666666, 9.0, 9, 11.650390625],
+    [1024, "uniform", "hop-space", 5.6466666666666665, 9.0, 9, 11.0],
+    [1024, "skewed", "naive", 6.49, 11.0, 12, 16.1142578125],
+    [1024, "skewed", "hop-space", 4.843333333333334, 7.009999999999991, 8,
+     11.0],
+]
+
 
 def _measure(ids, strategy, seed=0, peer_targets=False):
     ring = DHTRing(strategy)
     for node_id in ids:
         ring.add_node(node_id)
-    ring.rebuild_tables()
     rng = random.Random(seed)
     hops = []
     for _ in range(_LOOKUPS):
@@ -76,7 +94,6 @@ def test_e7_routing_hops(benchmark, capsys, e7_rows):
     ring = DHTRing(HopSpaceFingers())
     for node_id in ids:
         ring.add_node(node_id)
-    ring.rebuild_tables()
     rng = random.Random(2)
     benchmark(lambda: ring.lookup(rng.choice(ids), random_id(rng)))
     with capsys.disabled():
@@ -106,3 +123,7 @@ def test_e7_shape_holds(e7_rows):
     small = by_key[(_SIZES[0], "uniform", "hop-space")][3]
     large = by_key[(_SIZES[-1], "uniform", "hop-space")][3]
     assert large - small < 2 * math.log2(_SIZES[-1] / _SIZES[0])
+
+
+def test_e7_rows_pinned(e7_rows):
+    assert e7_rows == GOLDEN_ROWS

@@ -195,8 +195,9 @@ def main() -> None:
     #    packed events with a batched heap, interned key objects,
     #    numpy-vectorized owner-side BM25 (bitwise-identical to the
     #    scalar path; REPRO_PURE_PYTHON=1 forces the fallback) and
-    #    churn-local routing-table maintenance.  The sweep driver runs
-    #    one network size per process::
+    #    greedy routing computed hop by hop from the sorted membership,
+    #    so no peer keeps a routing table a join or leave could stale.
+    #    The sweep runs one network size per process::
     #
     #        PYTHONPATH=src python -m repro.eval.scale \
     #            --peers 10000 --queries 36 --churn 90 --json -

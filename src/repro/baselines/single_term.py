@@ -191,7 +191,6 @@ class SingleTermNetwork:
             self._peers[peer_id] = peer
             self.transport.register(peer_id, peer)
             self.ring.add_node(peer_id)
-        self.ring.rebuild_tables()
         self._doc_owner: Dict[int, int] = {}
         self._next_doc_id = 1
 

@@ -93,8 +93,7 @@ class FaultInjector:
                 "fail_peer is not supported with virtual_nodes > 1")
         network.ring.remove_node(peer_id)
         network.ring.maintain()
-        network.transport.unregister(peer_id)
-        del network._peers[peer_id]
+        network._detach_peer(peer_id)
         network.note_index_update()
 
     def graceful_depart(self, peer_id: int) -> None:

@@ -629,8 +629,13 @@ class AlvisNetwork:
                       {"entries": entries})
         if not self.ring.contains(from_peer):
             # Graceful departure: detach the endpoint after handover.
-            self.transport.unregister(from_peer)
-            del self._peers[from_peer]
+            self._detach_peer(from_peer)
+
+    def _detach_peer(self, peer_id: int) -> None:
+        """Drop a departed peer's endpoint, object and lookup cache."""
+        self.transport.unregister(peer_id)
+        del self._peers[peer_id]
+        self._lookup_caches.pop(peer_id, None)
 
     def _add_peer_object_only(self, peer_id: int) -> AlvisPeer:
         """Create and register a peer whose ring node already exists

@@ -1,15 +1,16 @@
-"""The DHT ring: membership, table construction, iterative lookup.
+"""The DHT ring: membership and iterative lookup.
 
 The ring is the authoritative membership view (in a deployment this role is
 played by the converged maintenance protocol).  Lookups, however, are
-executed hop by hop through each node's own routing table, so the measured
-hop counts and routing traffic are those of the distributed algorithm, not
-of the oracle.
+executed hop by hop, each hop the greedy choice of the node it leaves
+(:meth:`~repro.dht.routing.FingerTableStrategy.next_hop`, computed from
+the sorted membership), so the measured hop counts and routing traffic are
+those of the distributed algorithm, not of the oracle.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -32,14 +33,10 @@ HOP_MESSAGE_BYTES = HEADER_BYTES + encoded_size({"key_id": 0})
 HOP_BATCH_BASE_BYTES = HEADER_BYTES + encoded_size({"key_ids": []})
 HOP_KEY_BYTES = encoded_size(0)
 
-#: Route-memo sentinel for "this node owns the key" (node ids are
-#: unsigned, so -1 can never collide with a real next hop).
-_ROUTE_OWNED = -1
-
-#: Upper bound on memoized (key, node) -> next-hop entries across all
-#: keys; routing keeps working past it, new entries just stop being
-#: recorded until the next membership change clears the memo.
-_ROUTE_CACHE_MAX_ENTRIES = 1 << 20
+#: Upper bound on memoized key -> owner entries; routing keeps working
+#: past it, new entries just stop being recorded until the next
+#: membership change clears the memo.
+_OWNER_CACHE_MAX_ENTRIES = 1 << 20
 
 #: Handover callback signature: (old_owner, new_owner, key_range_lo, key_range_hi).
 HandoverCallback = Callable[[int, int, int, int], None]
@@ -87,44 +84,30 @@ class BatchLookupResult:
 
 
 class DHTRing:
-    """A set of :class:`DHTNode` objects plus routing orchestration."""
+    """The sorted membership plus routing orchestration.
+
+    There is no per-node routing object: every hop is the strategy's
+    closed-form greedy choice over the current membership, so a join or
+    leave has no table to refresh.
+    """
 
     def __init__(self, strategy: Optional[FingerTableStrategy] = None,
                  transport: Optional[TransportBackend] = None):
         self.strategy = strategy if strategy is not None else HopSpaceFingers()
         self.transport = transport
         #: Membership authority: a plain id set + sorted list.
-        #: :class:`DHTNode` objects are materialized only for nodes
-        #: routing actually touches (``_nodes`` is a cache, not the
-        #: authority).
         self._members: set = set()
-        self._nodes: Dict[int, DHTNode] = {}
         self._sorted_ids: List[int] = []
-        #: Incremented on every membership change.  Churn-local
-        #: maintenance: a change only *stamps* tables stale and each
-        #: node's fingers/successors are recomputed on first touch —
-        #: O(touched x log n) per churn event instead of the O(n log n)
-        #: full rebuild, with identical tables (both derive from current
-        #: membership).  Caches of key->owner resolutions use it to
-        #: detect staleness cheaply.
+        #: Incremented on every membership change; caches of key->owner
+        #: resolutions pair with it to detect staleness cheaply.
         self.membership_epoch = 0
-        #: Greedy-route memo: node id -> {key id -> next hop, or
-        #: ``_ROUTE_OWNED``}.  Within one membership epoch the greedy
-        #: choice is a pure function of (node, key), so repeated routes
-        #: replay from the memo — the *same* hop messages are still
-        #: sent, only the finger-table scans are skipped.  Cleared
-        #: wholesale on any membership change.
-        self._route_cache: Dict[int, Dict[int, int]] = {}
-        self._route_entries = 0
-        self._route_epoch = -1
         #: Key -> owner memo (bulk batched lookups only): once a batch
         #: walk resolved a key, later batches from *any* source resolve
         #: it directly — the standard DHT routing-cache shortcut (a
         #: peer that already knows a key's owner addresses it without
         #: re-routing), so the cached keys cost no further lookup
-        #: traffic.  Shares the route memo's epoch lifetime: cleared
-        #: wholesale on any membership change, so it can never serve a
-        #: stale owner.
+        #: traffic.  Cleared on every membership change, so it can
+        #: never serve a stale owner.
         self._owner_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -142,38 +125,48 @@ class DHTRing:
         return tuple(self._sorted_ids)
 
     def node(self, node_id: int) -> DHTNode:
-        """Return the node object for ``node_id`` (KeyError if absent).
+        """A snapshot of ``node_id``'s converged routing state (KeyError
+        if absent): the strategy's fingers plus the successor list.
 
-        The node's routing tables are brought up to date first, so
-        callers always observe converged state.
+        Built on demand for inspection (E7's table sizes, the
+        differential tests); routing never reads it.
         """
-        return self._fresh(node_id)
+        if node_id not in self._members:
+            raise KeyError(node_id)
+        members = self._sorted_ids
+        n = len(members)
+        rank = bisect_left(members, node_id)
+        node = DHTNode(node_id)
+        node.set_fingers(self.strategy.build(node_id, members))
+        if n > 1:
+            node.set_successors(
+                [members[(rank + offset) % n]
+                 for offset in range(1, DHTNode.SUCCESSOR_LIST_SIZE + 1)])
+        return node
 
     def contains(self, node_id: int) -> bool:
         """True if ``node_id`` is a live member."""
         return node_id in self._members
 
     def add_node(self, node_id: int) -> None:
-        """Add a node to the membership; tables become stale.
-
-        The node object is only materialized when routing first
-        touches it.
-        """
+        """Add a node to the membership."""
         if node_id in self._members:
             raise ValueError(f"node {node_id} already present")
         self._members.add(node_id)
-        bisect.insort(self._sorted_ids, node_id)
-        self.membership_epoch += 1
+        insort(self._sorted_ids, node_id)
+        self._membership_changed()
 
     def remove_node(self, node_id: int) -> None:
-        """Remove a node; tables become stale."""
+        """Remove a node from the membership."""
         if node_id not in self._members:
             raise KeyError(f"node {node_id} not present")
         self._members.discard(node_id)
-        self._nodes.pop(node_id, None)
-        index = bisect.bisect_left(self._sorted_ids, node_id)
-        self._sorted_ids.pop(index)
+        self._sorted_ids.pop(bisect_left(self._sorted_ids, node_id))
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
         self.membership_epoch += 1
+        self._owner_cache.clear()
 
     # ------------------------------------------------------------------
     # Ownership oracle (what the converged ring agrees on)
@@ -183,7 +176,7 @@ class DHTRing:
         """The live node owning ``key_id`` (its clockwise successor)."""
         if not self._sorted_ids:
             raise ValueError("ring is empty")
-        index = bisect.bisect_left(self._sorted_ids, key_id)
+        index = bisect_left(self._sorted_ids, key_id)
         if index == len(self._sorted_ids):
             index = 0
         return self._sorted_ids[index]
@@ -192,102 +185,28 @@ class DHTRing:
         """The live node immediately counter-clockwise of ``node_id``."""
         if not self._sorted_ids:
             raise ValueError("ring is empty")
-        index = bisect.bisect_left(self._sorted_ids, node_id)
+        index = bisect_left(self._sorted_ids, node_id)
         if index >= len(self._sorted_ids) or self._sorted_ids[index] != node_id:
             raise KeyError(f"node {node_id} not present")
         return self._sorted_ids[index - 1]  # wraps via Python indexing
 
     # ------------------------------------------------------------------
-    # Routing tables
+    # Routing state
     # ------------------------------------------------------------------
-
-    def rebuild_tables(self) -> None:
-        """(Re)build every node's fingers and successor list *eagerly*.
-
-        Models the converged state of the maintenance protocol in one
-        shot.  Routing never requires it — nodes refresh on touch — but
-        it stays available as the eager reference for benchmarks and
-        tests that inspect the whole converged state at once.
-        """
-        members = self._sorted_ids
-        n = len(members)
-        epoch = self.membership_epoch
-        for rank, node_id in enumerate(members):
-            node = self._node_for(node_id)
-            node.set_fingers(self.strategy.build(node_id, members))
-            successors = [members[(rank + offset) % n]
-                          for offset in range(1, DHTNode.SUCCESSOR_LIST_SIZE + 1)
-                          if n > 1]
-            node.set_successors(successors)
-            # Cached counter-clockwise neighbour (== predecessor_of);
-            # wraps for n == 1 via Python indexing.
-            node.predecessor = members[rank - 1]
-            node.table_epoch = epoch
 
     def maintain(self) -> None:
         """Converge routing state after a membership change: a no-op.
 
-        The hook callers invoke after every join/leave.  The
-        membership bump already stamped every table stale, so there is
-        nothing to do — each node recomputes its own fingers/successors
-        from the current membership on first touch.
+        The hook callers invoke after every join/leave.  Routing derives
+        each hop from the current membership, so there is nothing to
+        converge.
         """
-
-    def _node_for(self, node_id: int) -> DHTNode:
-        """The node object for a live member, materializing it on first
-        touch (KeyError for non-members)."""
-        node = self._nodes.get(node_id)
-        if node is None:
-            if node_id not in self._members:
-                raise KeyError(node_id)
-            node = DHTNode(node_id)
-            self._nodes[node_id] = node
-        return node
-
-    def _fresh(self, node_id: int) -> DHTNode:
-        """Return ``node_id``'s node with tables valid for the current
-        membership, recomputing them (lazily, churn-locally) if stale."""
-        node = self._node_for(node_id)
-        if node.table_epoch != self.membership_epoch:
-            self._refresh_node(node)
-        return node
-
-    def _route_table(self) -> Dict[int, Dict[int, int]]:
-        """The epoch-fresh greedy-route memo (cleared after any churn)."""
-        if self._route_epoch != self.membership_epoch:
-            self._route_cache.clear()
-            self._owner_cache.clear()
-            self._route_entries = 0
-            self._route_epoch = self.membership_epoch
-        return self._route_cache
-
-    def _refresh_node(self, node: DHTNode) -> None:
-        """Recompute one node's fingers/successors from current membership.
-
-        Produces exactly what :meth:`rebuild_tables` would install for
-        this node — both derive from the same sorted membership — so
-        lazy and eager maintenance yield identical routing state.
-        """
-        members = self._sorted_ids
-        n = len(members)
-        node.set_fingers(self.strategy.build(node.node_id, members))
-        rank = bisect.bisect_left(members, node.node_id)
-        if n > 1:
-            node.set_successors(
-                [members[(rank + offset) % n]
-                 for offset in range(1, DHTNode.SUCCESSOR_LIST_SIZE + 1)])
-        else:
-            node.set_successors([])
-        # Cached counter-clockwise neighbour (== predecessor_of); wraps
-        # for n == 1 via Python indexing.
-        node.predecessor = members[rank - 1]
-        node.table_epoch = self.membership_epoch
 
     def mean_routing_table_size(self) -> float:
         """Average out-degree across nodes (E7 reports this is O(log n))."""
         if not self._members:
             raise ValueError("ring is empty")
-        total = sum(self._fresh(node_id).routing_table_size()
+        total = sum(self.node(node_id).routing_table_size()
                     for node_id in self._sorted_ids)
         return total / len(self._members)
 
@@ -310,30 +229,19 @@ class DHTRing:
             raise KeyError(f"source node {source_id} not present")
         deliver = (getattr(self.transport, "deliver_hop", None)
                    if account and self.transport is not None else None)
+        members = self._sorted_ids
+        n = len(members)
+        next_hop = self.strategy.next_hop
+        owner_rank = bisect_left(members, key_id) % n
+        rank = bisect_left(members, source_id)
         current = source_id
         path = [current]
         hops = 0
-        max_hops = 2 * ID_BITS + self.size
-        table = self._route_table()
-        while True:
-            next_id = None
-            node_routes = table.get(current)
-            if node_routes is not None:
-                next_id = node_routes.get(key_id)
+        max_hops = 2 * ID_BITS + n
+        while rank != owner_rank:
+            next_id = next_hop(members, rank, key_id)
             if next_id is None:
-                node = self._fresh(current)
-                if node.owns(key_id, node.predecessor):
-                    next_id = _ROUTE_OWNED
-                else:
-                    next_id = node.next_hop_fast(key_id)
-                    if next_id is None:
-                        next_id = node.successor
-                if self._route_entries < _ROUTE_CACHE_MAX_ENTRIES:
-                    table.setdefault(current, {})[key_id] = next_id
-                    self._route_entries += 1
-            if next_id == _ROUTE_OWNED:
-                return LookupResult(key_id=key_id, owner=current,
-                                    hops=hops, path=path)
+                next_id = members[(rank + 1) % n]
             if deliver is not None:
                 deliver(current, next_id, HOP_MESSAGE_BYTES)
             elif account and self.transport is not None:
@@ -347,7 +255,10 @@ class DHTRing:
             if hops > max_hops:
                 raise RuntimeError(
                     f"lookup for {key_id} exceeded {max_hops} hops; "
-                    "routing tables are inconsistent")
+                    "routing is inconsistent")
+            rank = bisect_left(members, current)
+        return LookupResult(key_id=key_id, owner=current, hops=hops,
+                            path=path)
 
     def lookup_many(self, source_id: int, key_ids: Iterable[int],
                     account: bool = False) -> BatchLookupResult:
@@ -356,9 +267,9 @@ class DHTRing:
         Every key follows exactly the greedy hop sequence :meth:`lookup`
         would give it, so the resolved owners are identical — but keys
         taking the same hop travel in one combined ``LookupHop`` message,
-        so finger-table traversals are shared and the per-key message
-        cost is amortized across the batch (the lattice-frontier batching
-        of the query engine).
+        so routing steps are shared and the per-key message cost is
+        amortized across the batch (the lattice-frontier batching of the
+        query engine).
         """
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
@@ -374,7 +285,6 @@ class DHTRing:
             live = begin_bulk() if begin_bulk is not None else None
             if live is not None:
                 hop_acc = {}
-        routes = self._route_table()
         pending = sorted(set(key_ids))
         owners: Dict[int, int] = {}
         per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
@@ -401,8 +311,8 @@ class DHTRing:
         max_rounds = 2 * ID_BITS + self.size
         try:
             result = self._lookup_many_rounds(
-                frontier, owners, per_key_hops, routes, deliver, live,
-                hop_acc, account, messages, rounds, max_rounds)
+                frontier, owners, per_key_hops, deliver, live, hop_acc,
+                account, messages, rounds, max_rounds)
         finally:
             # Settle accumulated bulk hops even when a delivery error
             # aborts the walk: exactly the hops per-hop delivery would
@@ -410,17 +320,18 @@ class DHTRing:
             if hop_acc:
                 self.transport.flush_hop_bulk(hop_acc)
         if (owner_cache is not None
-                and len(owner_cache) < _ROUTE_CACHE_MAX_ENTRIES):
+                and len(owner_cache) < _OWNER_CACHE_MAX_ENTRIES):
             owner_cache.update(result.owners)
         return result
 
-    def _lookup_many_rounds(self, frontier, owners, per_key_hops, routes,
-                            deliver, live, hop_acc, account, messages,
-                            rounds, max_rounds):
+    def _lookup_many_rounds(self, frontier, owners, per_key_hops, deliver,
+                            live, hop_acc, account, messages, rounds,
+                            max_rounds):
         """The frontier walk of :meth:`lookup_many` (split out so the
         bulk-hop flush wraps it in one ``finally``)."""
-        owned = _ROUTE_OWNED
-        cache_cap = _ROUTE_CACHE_MAX_ENTRIES
+        members = self._sorted_ids
+        n = len(members)
+        hop = self.strategy.next_hop
         while frontier:
             rounds += 1
             if rounds > max_rounds:
@@ -428,47 +339,23 @@ class DHTRing:
                                     for key_id in keys)
                 raise RuntimeError(
                     f"batched lookup exceeded {max_rounds} rounds for "
-                    f"keys {unresolved[:4]}...; routing tables are "
+                    f"keys {unresolved[:4]}...; routing is "
                     "inconsistent")
             next_frontier: Dict[int, List[int]] = {}
             for node_id in sorted(frontier):
-                node = None
-                hop = None
-                predecessor = 0
-                # Node-major memo orientation: one hoisted dict per
-                # frontier node, a single probe per key step (bound
-                # methods hoisted out of the key loop).
-                node_routes = routes.get(node_id)
-                route_get = (node_routes.get
-                             if node_routes is not None else None)
+                rank = bisect_left(members, node_id)
+                successor = members[(rank + 1) % n]
                 by_next: Dict[int, List[int]] = {}
                 by_next_get = by_next.get
                 for key_id in frontier[node_id]:
-                    next_id = (route_get(key_id)
-                               if route_get is not None else None)
-                    if next_id is None:
-                        if node is None:
-                            node = self._fresh(node_id)
-                            predecessor = node.predecessor
-                            hop = node.next_hop_fast
-                        if node.owns(key_id, predecessor):
-                            next_id = owned
-                        else:
-                            next_id = hop(key_id)
-                            if next_id is None:
-                                next_id = node.successor
-                        if self._route_entries < cache_cap:
-                            if node_routes is None:
-                                node_routes = routes.setdefault(
-                                    node_id, {})
-                                route_get = node_routes.get
-                            node_routes[key_id] = next_id
-                            self._route_entries += 1
-                    if next_id == owned:
+                    if bisect_left(members, key_id) % n == rank:
                         # Forwarded once per completed earlier round.
                         per_key_hops[key_id] = rounds - 1
                         owners[key_id] = node_id
                         continue
+                    next_id = hop(members, rank, key_id)
+                    if next_id is None:
+                        next_id = successor
                     batch = by_next_get(next_id)
                     if batch is None:
                         by_next[next_id] = [key_id]
@@ -524,7 +411,8 @@ class DHTRing:
         Churn mid-lookup is handled gracefully instead of raising:
 
         * a hop whose destination departed the ring re-routes its keys
-          from the sending node (tables refreshed) on the next round;
+          from the sending node (over the new membership) on the next
+          round;
         * a hop whose destination is still a ring member but has no
           transport endpoint (a half-dead peer) falls back to the
           ownership oracle for its keys — the subsequent probe to that
@@ -555,10 +443,12 @@ class DHTRing:
         retransmissions = 0
         consecutive_overflows = 0
         #: Overflow-retry allowance: rounds spent retransmitting hops a
-        #: full service queue rejected must not look like routing-table
+        #: full service queue rejected must not look like routing
         #: inconsistency.
         retry_budget = 64
         max_rounds = 2 * ID_BITS + self.size
+        members = self._sorted_ids
+        hop = self.strategy.next_hop
         while frontier:
             rounds += 1
             if rounds > max_rounds + retransmissions:
@@ -566,13 +456,15 @@ class DHTRing:
                                     for key_id in keys)
                 raise RuntimeError(
                     f"async batched lookup exceeded {max_rounds} rounds "
-                    f"for keys {unresolved[:4]}...; routing tables are "
+                    f"for keys {unresolved[:4]}...; routing is "
                     "inconsistent")
+            # Membership may have changed while the last round's hops
+            # were in flight (``members`` is updated in place): route
+            # this round over the current one.
+            n = len(members)
             hops: List[Tuple[int, int, List[int]]] = []
             for node_id in sorted(frontier):
-                node = (self._fresh(node_id) if node_id in self._members
-                        else None)
-                if node is None:
+                if node_id not in self._members:
                     # The routing node departed while keys were headed to
                     # it; restart from the source or fall back to the
                     # ownership oracle.
@@ -582,16 +474,15 @@ class DHTRing:
                         else:
                             owners[key_id] = self.successor_of(key_id)
                     continue
-                predecessor = node.predecessor
-                hop = node.next_hop_fast
+                rank = bisect_left(members, node_id)
                 by_next: Dict[int, List[int]] = {}
                 for key_id in frontier[node_id]:
-                    if node.owns(key_id, predecessor):
+                    if bisect_left(members, key_id) % n == rank:
                         owners[key_id] = node_id
                         continue
-                    next_id = hop(key_id)
+                    next_id = hop(members, rank, key_id)
                     if next_id is None:
-                        next_id = node.successor
+                        next_id = members[(rank + 1) % n]
                     by_next.setdefault(next_id, []).append(key_id)
                 for next_id in sorted(by_next):
                     hops.append((node_id, next_id, by_next[next_id]))

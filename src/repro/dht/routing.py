@@ -1,4 +1,4 @@
-"""Routing-table construction strategies.
+"""Routing-table construction strategies and their greedy next hop.
 
 The AlvisP2P paper (Section 3) states that its DHT "uses the concept of
 'hop space' for routing table construction" so that it "supports arbitrary
@@ -20,25 +20,35 @@ Two strategies are implemented so experiment E7 can contrast them:
   ``r + 2^i (mod n)``.  Greedy routing then halves the remaining *peer
   count* each hop, giving ceil(log2 n) hops for any placement.
 
-In the deployed system tables are maintained by a gossip protocol; here we
-build them from a membership snapshot, which models the converged state the
-published evaluation measures.
+Each strategy answers two questions from a sorted membership snapshot,
+which models the converged state of the deployed gossip maintenance that
+the published evaluation measures.  :meth:`~FingerTableStrategy.build`
+lists one node's fingers: the table E7 reports.
+:meth:`~FingerTableStrategy.next_hop` is what routing runs: the hop the
+greedy scan of :meth:`repro.dht.node.DHTNode.next_hop` would pick from
+those fingers plus the successor list, computed in closed form from the
+node's rank, so no per-node table is ever built or kept fresh.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import List, Sequence
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Sequence
 
 from repro.dht.idspace import ID_BITS, ID_SPACE, random_id
+from repro.dht.node import DHTNode
 
 __all__ = ["FingerTableStrategy", "NaiveFingers", "HopSpaceFingers",
            "uniform_ids", "skewed_ids"]
 
+_SUCCESSORS = DHTNode.SUCCESSOR_LIST_SIZE
+
 
 class FingerTableStrategy(abc.ABC):
-    """Builds the out-neighbour list of one node from a membership snapshot."""
+    """Builds the out-neighbour list of one node from a membership snapshot
+    and computes greedy routing's choice over it in closed form."""
 
     @abc.abstractmethod
     def build(self, node_id: int, members: Sequence[int]) -> List[int]:
@@ -50,18 +60,28 @@ class FingerTableStrategy(abc.ABC):
         so greedy routing can terminate.
         """
 
+    @abc.abstractmethod
+    def next_hop(self, members: Sequence[int], rank: int,
+                 key_id: int) -> Optional[int]:
+        """Greedy next hop of ``members[rank]`` towards ``key_id``.
+
+        Exactly what :meth:`repro.dht.node.DHTNode.next_hop` picks from
+        :meth:`build`'s fingers plus the successor list: the neighbour
+        furthest clockwise that does not pass the key.  ``None`` when no
+        neighbour lies in ``(node, key]``, i.e. the successor owns the
+        key.  ``tests/test_dht_routing.py`` pins the equivalence.
+        """
+
+    @staticmethod
+    def _members_reached(members: Sequence[int], rank: int,
+                         key_id: int) -> int:
+        """How many members lie clockwise in ``(members[rank], key_id]``."""
+        return (bisect_right(members, key_id) - rank - 1) % len(members)
+
     @staticmethod
     def _successor_index(target: int, members: Sequence[int]) -> int:
         """Index of the first member clockwise from (or at) ``target``."""
-        # Binary search over the sorted membership list, wrapping at the end.
-        low, high = 0, len(members)
-        while low < high:
-            mid = (low + high) // 2
-            if members[mid] < target:
-                low = mid + 1
-            else:
-                high = mid
-        return low % len(members)
+        return bisect_left(members, target) % len(members)
 
     @staticmethod
     def _dedupe_keep_order(ids: Sequence[int], self_id: int) -> List[int]:
@@ -87,6 +107,22 @@ class NaiveFingers(FingerTableStrategy):
             fingers.append(members[index])
         return self._dedupe_keep_order(fingers, node_id)
 
+    def next_hop(self, members: Sequence[int], rank: int,
+                 key_id: int) -> Optional[int]:
+        # The furthest member not past the key sits at id offset
+        # ``reach``; finger j = floor(log2 reach) is the furthest finger
+        # not past it (finger j+1 starts beyond it).  The successor list
+        # reaches rank offset min(SUCCESSORS, reached); take the further.
+        n = len(members)
+        reached = self._members_reached(members, rank, key_id)
+        if reached == 0:
+            return None
+        node_id = members[rank]
+        reach = (members[(rank + reached) % n] - node_id) % ID_SPACE
+        target = (node_id + (1 << (reach.bit_length() - 1))) % ID_SPACE
+        finger = (self._successor_index(target, members) - rank) % n
+        return members[(rank + max(finger, min(reached, _SUCCESSORS))) % n]
+
 
 class HopSpaceFingers(FingerTableStrategy):
     """Fingers at exponential rank (peer-count) offsets.
@@ -107,9 +143,19 @@ class HopSpaceFingers(FingerTableStrategy):
         while offset < n:
             fingers.append(members[(my_rank + offset) % n])
             offset <<= 1
-        if not fingers and n > 1:
-            fingers.append(members[(my_rank + 1) % n])
         return self._dedupe_keep_order(fingers, node_id)
+
+    def next_hop(self, members: Sequence[int], rank: int,
+                 key_id: int) -> Optional[int]:
+        # Links cover every rank offset up to SUCCESSORS and each power
+        # of two below n, so the furthest one not past the key is the
+        # reached count itself, or the largest power of two not above it.
+        reached = self._members_reached(members, rank, key_id)
+        if reached == 0:
+            return None
+        if reached > _SUCCESSORS:
+            reached = 1 << (reached.bit_length() - 1)
+        return members[(rank + reached) % len(members)]
 
 
 def uniform_ids(rng: random.Random, count: int) -> List[int]:

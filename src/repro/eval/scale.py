@@ -10,13 +10,12 @@ so peak RSS is attributable::
 A leg builds the network with batched index lookups, runs the
 statistics phase and HDK index build, then drives a *churning query
 workload*: join/leave events interleaved with queries through the
-async runtime.  Each membership change stamps every
-routing table stale; the ring refreshes only the nodes a lookup
-actually touches.
+async runtime.  Routing derives every hop from the current
+membership, so a membership change leaves no routing table to repair.
 
 Reported per leg: wall-clock per phase, events processed, effective
-events/sec over the workload phase (wall-clock including table
-maintenance), kernel-loop events/sec, bytes per query, peak RSS, the
+events/sec over the workload phase (wall-clock including membership
+changes), kernel-loop events/sec, bytes per query, peak RSS, the
 ``state_fingerprint`` of the built index and the exact top-k id/score
 fingerprint of every query.
 """
@@ -91,7 +90,7 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
     started = time.perf_counter()
     for step in range(churn_events):
         # Balanced churn: the membership oscillates around its initial
-        # size, and each event dirties every routing table.
+        # size.
         if step % 2 == 0:
             churn.join()
         else:

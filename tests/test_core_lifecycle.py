@@ -138,3 +138,19 @@ class TestLookupCache:
         network.query(origin, "zebra quagga savanna")
         _epoch, cache = network._lookup_caches[origin]
         assert len(cache) <= 2
+
+    def test_departed_origins_drop_their_cache(self):
+        config = AlvisConfig(cache_lookups=True)
+        network, _host, _doc_id = _network_with_zebra(config=config)
+        churn = network.churn()
+        for step in ("join", "join", "leave", "leave", "join", "leave"):
+            # Every live peer holds a cache before each departure.
+            for origin in network.peer_ids():
+                network.query(origin, "zebra quagga")
+            getattr(churn, step)()
+        survivors = network.peer_ids()
+        for origin in survivors:
+            network.query(origin, "zebra quagga")
+        network.faults.crash(survivors[0])
+        network.faults.graceful_depart(survivors[1])
+        assert set(network._lookup_caches) <= set(network.peer_ids())

@@ -126,7 +126,6 @@ class TestLookupMany:
         ring = DHTRing(HopSpaceFingers())
         for node_id in uniform_ids(make_rng(seed, "ring"), n):
             ring.add_node(node_id)
-        ring.rebuild_tables()
         return ring
 
     def test_owners_match_individual_lookups(self):

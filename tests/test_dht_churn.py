@@ -13,7 +13,6 @@ def _ring(count, seed=0):
     ring = DHTRing(HopSpaceFingers())
     for node_id in uniform_ids(random.Random(seed), count):
         ring.add_node(node_id)
-    ring.rebuild_tables()
     return ring
 
 
@@ -126,80 +125,3 @@ class TestSession:
             source = rng.choice(list(ring.member_ids))
             assert ring.lookup(source, key).owner == ring.successor_of(key)
 
-
-class TestLazyMaintenanceEquivalence:
-    """Churn-local lazy table maintenance must be indistinguishable from
-    the eager full rebuild: identical fingers, successors and routes.
-
-    The reference is a twin ring that calls ``rebuild_tables()`` after
-    every churn step; its node objects are read directly, so they show
-    exactly what the eager rebuild installed.
-    """
-
-    @staticmethod
-    def _assert_tables_equal(lazy, eager):
-        assert lazy.member_ids == eager.member_ids
-        for node_id in eager.member_ids:
-            lazy_node = lazy.node(node_id)     # forces the lazy refresh
-            eager_node = eager._nodes[node_id]
-            assert lazy_node.fingers == eager_node.fingers, node_id
-            assert lazy_node.successors == eager_node.successors, node_id
-
-    def test_tables_and_routes_match_eager_rebuild_under_churn(self):
-        lazy = DHTRing(HopSpaceFingers())
-        eager = DHTRing(HopSpaceFingers())
-        for node_id in uniform_ids(random.Random(7), 24):
-            lazy.add_node(node_id)
-            eager.add_node(node_id)
-        eager.rebuild_tables()
-        self._assert_tables_equal(lazy, eager)
-
-        # Interleave joins and leaves; both rings see the same sequence.
-        churn_lazy = ChurnProcess(lazy, random.Random(99))
-        churn_eager = ChurnProcess(eager, random.Random(99))
-        ops = random.Random(5)
-        for _ in range(30):
-            if ops.random() < 0.5 or lazy.size <= 2:
-                node_id = churn_lazy.join()
-                churn_eager.join(node_id)
-            else:
-                node_id = churn_lazy.leave()
-                churn_eager.leave(node_id)
-            eager.rebuild_tables()
-            self._assert_tables_equal(lazy, eager)
-            # Same greedy routes, hop for hop.
-            probe = random.Random(lazy.size)
-            sources = [probe.choice(lazy.member_ids) for _ in range(3)]
-            for source in sources:
-                key_id = probe.getrandbits(64)
-                lazy_result = lazy.lookup(source, key_id)
-                eager_result = eager.lookup(source, key_id)
-                assert lazy_result.owner == eager_result.owner
-                assert lazy_result.path == eager_result.path
-
-    def test_lazy_refresh_is_churn_local(self):
-        # After one join, only touched nodes pay the refresh cost.
-        ring = DHTRing(HopSpaceFingers())
-        for node_id in uniform_ids(random.Random(3), 32):
-            ring.add_node(node_id)
-        ring.rebuild_tables()
-        epoch = ring.membership_epoch
-        churn = ChurnProcess(ring, random.Random(11))
-        churn.join()
-        assert ring.membership_epoch == epoch + 1
-        # A node the ring never materialized counts as stale: it has no
-        # tables at all yet.
-        stale = [node_id for node_id in ring.member_ids
-                 if node_id not in ring._nodes
-                 or ring._nodes[node_id].table_epoch
-                 != ring.membership_epoch]
-        # maintain() did no global rebuild: (almost) everyone is stale.
-        assert len(stale) >= ring.size - 1
-        source = ring.member_ids[0]
-        ring.lookup(source, 12345)
-        refreshed = [node_id for node_id in ring.member_ids
-                     if node_id in ring._nodes
-                     and ring._nodes[node_id].table_epoch
-                     == ring.membership_epoch]
-        # The lookup only refreshed the nodes it actually touched.
-        assert 0 < len(refreshed) < ring.size

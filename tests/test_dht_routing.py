@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.dht.churn import ChurnProcess
 from repro.dht.idspace import ID_SPACE, random_id
 from repro.dht.node import DHTNode
 from repro.dht.ring import DHTRing
@@ -19,7 +20,6 @@ def _build_ring(ids, strategy):
     ring = DHTRing(strategy)
     for node_id in ids:
         ring.add_node(node_id)
-    ring.rebuild_tables()
     return ring
 
 
@@ -234,7 +234,7 @@ class TestRingMembership:
         ring = DHTRing(HopSpaceFingers())
         for node_id in uniform_ids(random.Random(16), 30):
             ring.add_node(node_id)
-        # No explicit rebuild: nodes refresh their tables on touch.
+        # No table build step: routing reads the membership alone.
         source = ring.member_ids[0]
         result = ring.lookup(source, 777)
         assert result.owner == ring.successor_of(777)
@@ -279,47 +279,80 @@ class TestHopByteModel:
         assert HOP_KEY_BYTES == encoded_size(2 ** 63)
 
 
-class TestNextHopFastEquivalence:
-    """next_hop_fast must choose exactly what the greedy scan chooses."""
+_STRATEGIES = {"naive": NaiveFingers(), "hop-space": HopSpaceFingers()}
 
-    @pytest.mark.parametrize("strategy", [NaiveFingers(),
-                                          HopSpaceFingers()])
-    def test_equivalence_uniform(self, strategy):
-        ids = uniform_ids(random.Random(18), 128)
+
+def _placement(name, seed, count):
+    rng = random.Random(seed)
+    if name == "uniform":
+        return uniform_ids(rng, count)
+    if name == "powers":
+        # Members at exact power-of-two distances: naive finger targets
+        # land on members, not between them.
+        return sorted({(1 << (i % 64)) + i // 64 for i in range(count)})
+    return skewed_ids(rng, count, cluster_fraction=0.9, cluster_width=1e-9)
+
+
+def _probe_keys(members, rng):
+    """Keys at every member (the node itself included), at member +- 1,
+    and a few random ones."""
+    keys = set()
+    for member in members:
+        keys.update((member, (member - 1) % ID_SPACE,
+                     (member + 1) % ID_SPACE))
+    keys.update(random_id(rng) for _ in range(16))
+    return sorted(keys)
+
+
+def _assert_closed_form_matches_scan(ring, ranks, rng):
+    """``ring.node`` is the scan's view: the strategy's fingers plus the
+    successor list."""
+    members = list(ring.member_ids)
+    keys = _probe_keys(members, rng)
+    for rank in ranks:
+        node = ring.node(members[rank])
+        for key in keys:
+            assert ring.strategy.next_hop(members, rank, key) == \
+                node.next_hop(key), (len(members), rank, key)
+
+
+class TestClosedFormNextHop:
+    """strategy.next_hop must choose exactly what the greedy scan over
+    the strategy's fingers plus the successor list chooses."""
+
+    @pytest.mark.parametrize("placement", ["uniform", "skewed", "powers"])
+    @pytest.mark.parametrize("name", sorted(_STRATEGIES))
+    def test_matches_reference_scan(self, name, placement):
+        rng = random.Random(18)
+        for n in (1, 2, 3, 4, 5, 6, 17, 64, 200):
+            ring = _build_ring(_placement(placement, n, n), _STRATEGIES[name])
+            # Every node of the small rings; a sample of the large ones.
+            ranks = (range(n) if n <= 64
+                     else rng.sample(range(n), 24))
+            _assert_closed_form_matches_scan(ring, ranks, rng)
+
+    @pytest.mark.parametrize("name", sorted(_STRATEGIES))
+    def test_matches_reference_under_churn(self, name):
+        # 28 -> 34 -> 28 crosses n = 32, where the hop-space offset set
+        # changes; then a seeded mix of joins and leaves.
+        ring = _build_ring(uniform_ids(random.Random(7), 28),
+                           _STRATEGIES[name])
+        churn = ChurnProcess(ring, random.Random(99))
+        ops = random.Random(5)
+        steps = ["join"] * 6 + ["leave"] * 6 + [
+            "join" if ops.random() < 0.5 else "leave" for _ in range(18)]
         rng = random.Random(19)
-        for node_id in rng.sample(ids, 16):
-            node = DHTNode(node_id)
-            node.set_fingers(strategy.build(node_id, ids))
-            rank = ids.index(node_id)
-            node.set_successors([ids[(rank + offset) % len(ids)]
-                                 for offset in range(1, 5)])
-            for _ in range(64):
-                key = random_id(rng)
-                assert node.next_hop_fast(key) == node.next_hop(key)
-
-    def test_equivalence_under_skew(self):
-        ids = skewed_ids(random.Random(20), 128, cluster_fraction=0.9,
-                         cluster_width=1e-9)
-        rng = random.Random(21)
-        strategy = HopSpaceFingers()
-        for node_id in rng.sample(ids, 12):
-            node = DHTNode(node_id)
-            node.set_fingers(strategy.build(node_id, ids))
-            for _ in range(64):
-                # Keys at other members are the skew worst case.
-                key = rng.choice(ids)
-                assert node.next_hop_fast(key) == node.next_hop(key)
-
-    def test_equivalence_includes_boundary_keys(self):
-        ids = uniform_ids(random.Random(22), 64)
-        strategy = HopSpaceFingers()
-        node = DHTNode(ids[0])
-        node.set_fingers(strategy.build(ids[0], ids))
-        node.set_successors(ids[1:5])
-        # Exactly-at-neighbour keys exercise the bisect boundaries.
-        for key in list(node.neighbours()) + [ids[0],
-                                              (ids[0] + 1) % ID_SPACE]:
-            assert node.next_hop_fast(key) == node.next_hop(key)
+        for step in steps:
+            getattr(churn, step)()
+            _assert_closed_form_matches_scan(ring, range(ring.size), rng)
+            # The ring's routes are the scan's routes, hop for hop.
+            for _ in range(4):
+                source, key = rng.choice(ring.member_ids), random_id(rng)
+                path = [source]
+                while ring.successor_of(key) != path[-1]:
+                    node = ring.node(path[-1])
+                    path.append(node.next_hop(key) or node.successor)
+                assert ring.lookup(source, key).path == path
 
 
 class TestBatchedLookupMatchesSingular:

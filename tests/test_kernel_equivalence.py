@@ -1,13 +1,14 @@
 """Golden pins for the scale-out event kernel and ring.
 
-The packed ``Event``/``EventQueue`` kernel, churn-local lazy DHT table
-maintenance, the route memo, the hop fast path and the vectorized
+The packed ``Event``/``EventQueue`` kernel, closed-form greedy routing
+over the sorted membership, the hop fast path and the vectorized
 owner-side BM25 are *accelerations*: at seed sizes they must reproduce
 the pre-optimisation kernel byte for byte — same results, same scores,
 same per-kind traffic, same traces, same virtual clock.  The constants
 below were captured while a pre-optimisation twin still ran beside the
-optimised network and agreed with it on every one of them; each case
-now builds one network and asserts them.  They hold with and without
+optimised network (the power-of-two churn pins: on per-node finger
+tables) and agreed with it on every one of them; each case now builds
+one network and asserts them.  They hold with and without
 ``REPRO_PURE_PYTHON=1``.
 """
 
@@ -69,6 +70,46 @@ GOLDEN = {
         "records": "87d5c81c02b3b5e9faaabc312c1ae2003d516dc3",
         "peers": "9a0044d22c71f4a2fc21d61f56f3df1b1c1b6dee",
     },
+}
+
+#: Index-phase plus handover traffic of the 30-peer power-of-two churn
+#: run; identical in both configs (only lookups and probes differ).
+_POW2_TRAFFIC = {
+    "CollectionGet": 1508.0, "CollectionPublish": 2755.0,
+    "CollectionReply": 2784.0, "DfGet": 100661.0, "DfPublish": 158741.0,
+    "DfReply": 158741.0, "ExpandNotify": 77531.0,
+    "IndexHandover": 173964.0, "PublishAck": 137620.0,
+    "PublishKey": 1250910.0,
+}
+
+#: 30 peers, 4 joins across n = 32 then 4 leaves, 2 queries per step:
+#: the hop-space offset set changes exactly at powers of two, where a
+#: rank off-by-one in routing would show.  ``batched`` routes indexing
+#: through ``lookup_many`` and queries through ``lookup_many_async``.
+GOLDEN_POW2_CHURN = {
+    "default": {
+        "state": "3c50c61cdc930cf9472889d3029bbd9944aa6600",
+        "bytes_by_kind": dict(_POW2_TRAFFIC, LookupHop=5518404.0,
+                              ProbeKey=5532.0, ProbeReply=13009.0),
+        "messages": 88594.0,
+        "now": 0.0,
+        "records": "75bcc740cb2c4eea6fa2a2f38dd9da6a59f9fb8f",
+        "sizes": [31, 32, 33, 34, 33, 32, 31, 30],
+    },
+    "batched": {
+        "state": "3c50c61cdc930cf9472889d3029bbd9944aa6600",
+        "bytes_by_kind": dict(_POW2_TRAFFIC, LookupHop=248306.0,
+                              ProbeBatch=5337.0, ProbeBatchReply=14086.0),
+        "messages": 10068.0,
+        "now": 4.219999999999998,
+        "records": "c86f696e67945f515dbdc04ff682792ef3f8ef5d",
+        "sizes": [31, 32, 33, 34, 33, 32, 31, 30],
+    },
+}
+
+_POW2_CONFIGS = {
+    "default": AlvisConfig(),
+    "batched": AlvisConfig(batch_index_lookups=True, async_queries=True),
 }
 
 
@@ -160,3 +201,21 @@ class TestKernelProfileEquivalence:
         records = _sync_queries(network, workload, origins, 8)
         assert _summary(network, records=_digest(records),
                         peers=_digest(origins)) == GOLDEN["churn_queries"]
+
+    @pytest.mark.parametrize("label", sorted(_POW2_CONFIGS))
+    def test_power_of_two_churn_identical(self, corpus, workload, label):
+        network = _build_network(corpus, config=_POW2_CONFIGS[label],
+                                 num_peers=30)
+        churn = network.churn()
+        records, sizes = [], []
+        for step in ["join"] * 4 + ["leave"] * 4:
+            getattr(churn, step)()
+            sizes.append(network.num_peers)
+            peers = network.peer_ids()
+            for _ in range(2):
+                index = len(records)
+                records.append(_record(*network.query(
+                    peers[(index * 7) % len(peers)],
+                    list(workload.pool[index]))))
+        assert _summary(network, records=_digest(records),
+                        sizes=sizes) == GOLDEN_POW2_CHURN[label]

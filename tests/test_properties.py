@@ -199,7 +199,6 @@ def test_lookup_always_finds_successor(node_ids, key, data):
     ring = DHTRing(strategy)
     for node_id in node_ids:
         ring.add_node(node_id)
-    ring.rebuild_tables()
     source = data.draw(st.sampled_from(sorted(node_ids)))
     result = ring.lookup(source, key)
     assert result.owner == ring.successor_of(key)
