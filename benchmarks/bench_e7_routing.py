@@ -60,7 +60,7 @@ def _measure(ids, strategy, seed=0, peer_targets=False):
     for _ in range(_LOOKUPS):
         source = rng.choice(ids)
         target = rng.choice(ids) if peer_targets else random_id(rng)
-        hops.append(ring.lookup(source, target).hops)
+        hops.append(ring.lookup_many(source, [target]).per_key_hops[target])
     return {
         "mean": sum(hops) / len(hops),
         "p99": percentile(hops, 99),
@@ -95,7 +95,7 @@ def test_e7_routing_hops(benchmark, capsys, e7_rows):
     for node_id in ids:
         ring.add_node(node_id)
     rng = random.Random(2)
-    benchmark(lambda: ring.lookup(rng.choice(ids), random_id(rng)))
+    benchmark(lambda: ring.lookup_many(rng.choice(ids), [random_id(rng)]))
     with capsys.disabled():
         print_table(
             "E7 lookup hops and table size vs n",

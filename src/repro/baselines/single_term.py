@@ -217,9 +217,9 @@ class SingleTermNetwork:
     # ------------------------------------------------------------------
 
     def _lookup(self, origin: int, key_id: int) -> Tuple[int, int]:
-        result = self.ring.lookup(origin, key_id,
-                                  account=self.account_lookups)
-        return result.owner, result.hops
+        result = self.ring.lookup_many(origin, [key_id],
+                                       account=self.account_lookups)
+        return result.owners[key_id], result.messages
 
     def _send(self, origin: int, dst: int, kind: str,
               payload: Dict) -> Optional[Dict]:

@@ -95,8 +95,11 @@ class AlvisConfig:
     #: Cache key->responsible-peer resolutions at the querying peer.
     #: Repeated queries then skip the O(log n) lookup; the cache is
     #: invalidated wholesale on any membership change (off by default so
-    #: traffic measurements reflect cold routing).  A swept policy (the
-    #: E12 ablation trades routing traffic for cache state), so it stays.
+    #: traffic measurements reflect cold routing).  The only owner cache
+    #: a query reads: the network-wide memo behind indexing and
+    #: maintenance (``AlvisNetwork.publish_owners``) is publish-side
+    #: only.  A swept policy (the E12 ablation trades routing traffic
+    #: for cache state), so it stays.
     cache_lookups: bool = False
 
     #: Bound on cached resolutions per peer.
@@ -154,9 +157,9 @@ class AlvisConfig:
     #: *latency* is measured from the clock (``QueryTrace.latency``)
     #: instead of estimated (``rtt_estimate``).  The async path always
     #: runs frontier-batched (it implies the ``batch_lookups`` wire
-    #: format); for a single query it issues byte-for-byte the traffic
-    #: of the synchronous batched path.  Off by default: the synchronous
-    #: path remains the compatibility mode.
+    #: format); a sequence of non-overlapping queries issues
+    #: byte-for-byte the traffic of the synchronous batched path.  Off
+    #: by default: the synchronous path remains the compatibility mode.
     async_queries: bool = False
 
     #: Virtual seconds the per-origin dispatch queue waits before
@@ -180,18 +183,6 @@ class AlvisConfig:
     #: timed-out probe is recorded as a dropped probe, like a churn
     #: drop.
     request_timeout: float = 0.0
-
-    # ------------------------------------------------------------------
-    # Indexing-phase scale-out (statistics + HDK build)
-    # ------------------------------------------------------------------
-
-    #: Batch the per-key DHT owner lookups of the statistics and
-    #: HDK-publish phases into one ``lookup_many`` round per peer
-    #: (same greedy route, one batched ``LookupHop`` payload per hop —
-    #: the ``ProbeBatch`` pattern applied to indexing).  Resolved owners
-    #: are identical; only ``LookupHop`` traffic shrinks, so this knob
-    #: *changes measured routing bytes* and stays off by default.
-    batch_index_lookups: bool = False
 
     # ------------------------------------------------------------------
     # Congestion-aware dispatch (AIMD flow control on the query path)

@@ -108,25 +108,18 @@ class HDKIndexer:
     def _publish_round(self, pending: Dict[int, List[Key]]) -> None:
         """Publish each peer's candidate keys, batched by responsible peer.
 
-        With ``config.batch_index_lookups`` every candidate's owner is
-        resolved in one shared ``lookup_many`` round per peer (same
-        owners, fewer ``LookupHop`` messages).
+        Every candidate's owner is resolved in one publish-side round per
+        peer (:meth:`~repro.core.network.AlvisNetwork.publish_owners`).
         """
         for peer in self.network.peers():
             candidates = pending.get(peer.peer_id, [])
             if not candidates:
                 continue
+            owners = self.network.publish_owners(
+                peer.peer_id, [key.key_id for key in candidates])
             batches: Dict[int, List[Key]] = {}
-            if self.config.batch_index_lookups:
-                owners, _messages = self.network.lookup_owners(
-                    peer.peer_id, [key.key_id for key in candidates])
-                for key in candidates:
-                    batches.setdefault(owners[key.key_id], []).append(key)
-            else:
-                for key in candidates:
-                    owner, _hops = self.network.lookup_owner(peer.peer_id,
-                                                             key.key_id)
-                    batches.setdefault(owner, []).append(key)
+            for key in candidates:
+                batches.setdefault(owners[key.key_id], []).append(key)
             for owner, keys in batches.items():
                 items = []
                 for key in keys:

@@ -27,7 +27,8 @@ subsystem's random sequence under a fixed seed
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.access import AccessPolicy
 from repro.core.config import AlvisConfig
@@ -55,6 +56,15 @@ from repro.sim.events import Simulator
 from repro.util.rng import make_rng
 
 __all__ = ["AlvisNetwork"]
+
+#: Upper bound on the publish-side key -> owner memo; resolution keeps
+#: working past it, new owners just stop being recorded until the next
+#: membership change drops the memo.
+_PUBLISH_MEMO_MAX_ENTRIES = 1 << 20
+
+
+def _forget(_owners: Dict[int, int]) -> None:
+    """The ``remember`` callback of an origin without a lookup cache."""
 
 
 class AlvisNetwork:
@@ -119,6 +129,8 @@ class AlvisNetwork:
         self._statistics_done = False
         #: origin peer -> (membership epoch, {key_id: owner}).
         self._lookup_caches: Dict[int, Tuple[int, Dict[int, int]]] = {}
+        #: (membership epoch, {key_id: owner peer}): see publish_owners.
+        self._publish_memo: Tuple[int, Dict[int, int]] = (-1, {})
         #: Bumped on every global-index mutation (publish, retract,
         #: handover, on-demand indexing); probe caches pair it with the
         #: ring's membership epoch as their validity tag.
@@ -183,72 +195,102 @@ class AlvisNetwork:
     # NetworkServices implementation (used by peers and components)
     # ------------------------------------------------------------------
 
-    def lookup_owner(self, origin: int, key_id: int) -> Tuple[int, int]:
-        """Resolve the responsible peer; routing traffic optionally
-        accounted as ``LookupHop`` messages.
-
-        With ``config.cache_lookups`` the resolution is cached at the
-        origin peer (0 hops on a hit); the cache self-invalidates on any
-        ring membership change via the ring's membership epoch.
-        """
-        if self.config.cache_lookups:
-            cache = self._fresh_lookup_cache(origin)
-            cached_owner = cache.get(key_id)
-            if cached_owner is not None:
-                return cached_owner, 0
-            result = self.ring.lookup(origin, key_id,
-                                      account=self.account_lookups)
-            owner = self.peer_of_ring_node(result.owner)
-            if len(cache) < self.config.lookup_cache_size:
-                cache[key_id] = owner
-            return owner, result.hops
-        result = self.ring.lookup(origin, key_id,
-                                  account=self.account_lookups)
-        return self.peer_of_ring_node(result.owner), result.hops
-
-    def _fresh_lookup_cache(self, origin: int) -> Dict[int, int]:
-        """The origin's key->owner cache, reset on membership change."""
-        epoch, cache = self._lookup_caches.get(origin, (-1, None))
-        if epoch != self.ring.membership_epoch or cache is None:
-            cache = {}
-            self._lookup_caches[origin] = (self.ring.membership_epoch,
-                                           cache)
-        return cache
-
     def lookup_owners(self, origin: int,
-                      key_ids: Sequence[int]) -> Tuple[Dict[int, int], int]:
-        """Resolve the responsible peers for a *batch* of keys.
+                      key_ids: Iterable[int]) -> Tuple[Dict[int, int], int]:
+        """Resolve the responsible peers of ``key_ids`` — the one
+        resolution call of the query path.
 
-        All keys of the batch are routed in one shared round
+        All keys are routed in one shared round
         (:meth:`~repro.dht.ring.DHTRing.lookup_many`): keys taking the
         same hop share one ``LookupHop`` message, so the returned message
         count — the amortized hop cost — is typically far below the sum
-        of the individual hop counts.  Honors ``config.cache_lookups``
-        exactly like :meth:`lookup_owner`.  Returns ``({key_id: owner
-        peer}, routed hop messages)``.
+        of the individual hop counts; for one key it is its hop count.
+        Honors ``config.cache_lookups`` (see :meth:`cached_owners`) and
+        never reads the publish-side memo (:meth:`publish_owners`), so a
+        query pays its own routing.  Returns ``({key_id: owner peer},
+        routed hop messages)``.
         """
-        unique = list(dict.fromkeys(key_ids))
-        owners: Dict[int, int] = {}
-        cache: Optional[Dict[int, int]] = None
-        if self.config.cache_lookups:
-            cache = self._fresh_lookup_cache(origin)
-            for key_id in unique:
-                cached_owner = cache.get(key_id)
-                if cached_owner is not None:
-                    owners[key_id] = cached_owner
-        misses = [key_id for key_id in unique if key_id not in owners]
+        owners, misses, remember = self.cached_owners(origin, key_ids)
         messages = 0
         if misses:
-            result = self.ring.lookup_many(origin, misses,
-                                           account=self.account_lookups)
-            messages = result.messages
-            for key_id in misses:
-                owner = self.peer_of_ring_node(result.owners[key_id])
-                owners[key_id] = owner
-                if cache is not None and \
-                        len(cache) < self.config.lookup_cache_size:
-                    cache[key_id] = owner
+            routed, messages = self._route(origin, misses)
+            remember(routed)
+            owners.update(routed)
         return owners, messages
+
+    def publish_owners(self, origin: int,
+                       key_ids: Iterable[int]) -> Dict[int, int]:
+        """Resolve owners for an indexing or maintenance flow.
+
+        The statistics phase, the HDK publish rounds,
+        :meth:`publish_incremental` and :meth:`unpublish` resolve their
+        key sets here: like :meth:`lookup_owners`, but a key some
+        publisher already routed in this membership epoch is answered
+        from a network-wide key->owner memo and costs no further
+        ``LookupHop`` traffic (the DHT routing-cache shortcut: a peer
+        that knows a key's owner addresses it without re-routing).  The
+        memo is dropped on every membership change, so it never serves a
+        stale owner, and stops growing at ``_PUBLISH_MEMO_MAX_ENTRIES``.
+        Returns ``{key_id: owner peer}``.
+        """
+        owners, misses, remember = self.cached_owners(origin, key_ids)
+        epoch, memo = self._publish_memo
+        if epoch != self.ring.membership_epoch:
+            memo = {}
+            self._publish_memo = (self.ring.membership_epoch, memo)
+        unrouted = [key_id for key_id in misses if key_id not in memo]
+        routed: Dict[int, int] = {}
+        if unrouted:
+            routed, _messages = self._route(origin, unrouted)
+            if len(memo) < _PUBLISH_MEMO_MAX_ENTRIES:
+                memo.update(routed)
+        resolved = {key_id: routed[key_id] if key_id in routed
+                    else memo[key_id] for key_id in misses}
+        remember(resolved)
+        owners.update(resolved)
+        return owners
+
+    def cached_owners(self, origin: int, key_ids: Iterable[int]
+                      ) -> Tuple[Dict[int, int], List[int],
+                                 Callable[[Dict[int, int]], None]]:
+        """Apply ``origin``'s key->owner cache (``config.cache_lookups``).
+
+        Returns the cache hits, the distinct keys still to resolve (in
+        first-seen order) and a ``remember`` callback that stores their
+        resolved owners while the cache has room.  The cache belongs to
+        the membership epoch it was filled in and starts empty after any
+        membership change.  The one home of the cache policy:
+        :meth:`lookup_owners`, :meth:`publish_owners` and the async
+        runtime's owner resolution all go through it.
+        """
+        unique = list(dict.fromkeys(key_ids))
+        if not self.config.cache_lookups:
+            return {}, unique, _forget
+        epoch, cache = self._lookup_caches.get(origin, (-1, {}))
+        if epoch != self.ring.membership_epoch:
+            cache = {}
+            self._lookup_caches[origin] = (self.ring.membership_epoch,
+                                           cache)
+        hits = {key_id: cache[key_id] for key_id in unique
+                if key_id in cache}
+        limit = self.config.lookup_cache_size
+
+        def remember(owners: Dict[int, int]) -> None:
+            for key_id, owner in owners.items():
+                if len(cache) < limit:
+                    cache[key_id] = owner
+
+        return hits, [key_id for key_id in unique if key_id not in hits], \
+            remember
+
+    def _route(self, origin: int,
+               key_ids: List[int]) -> Tuple[Dict[int, int], int]:
+        """One routed ``lookup_many`` round: ``({key_id: owner peer},
+        hop messages)``."""
+        result = self.ring.lookup_many(origin, key_ids,
+                                       account=self.account_lookups)
+        return ({key_id: self.peer_of_ring_node(result.owners[key_id])
+                 for key_id in key_ids}, result.messages)
 
     def note_index_update(self) -> None:
         """Record a global-index mutation.
@@ -336,8 +378,8 @@ class AlvisNetwork:
         """
         collection_owner = {}
         for peer in self.peers():
-            owner, _hops = self.lookup_owner(peer.peer_id,
-                                             COLLECTION_KEY_ID)
+            owner = self.publish_owners(peer.peer_id,
+                                        [COLLECTION_KEY_ID])[COLLECTION_KEY_ID]
             collection_owner[peer.peer_id] = owner
             docs, terms = peer.collection_report()
             self.send(peer.peer_id, owner, protocol.COLLECTION_PUBLISH,
@@ -345,7 +387,8 @@ class AlvisNetwork:
         for peer in self.peers():
             contributions = peer.local_df_contributions()
             for owner, batch in self._batch_by_owner(
-                    peer.peer_id, contributions).items():
+                    self._term_owners(peer.peer_id, contributions),
+                    contributions).items():
                 self.send(peer.peer_id, owner, protocol.DF_PUBLISH,
                           {"dfs": batch})
         for peer in self.peers():
@@ -359,10 +402,11 @@ class AlvisNetwork:
                                       num_peers=int(reply["peers"]))
             peer.stats_cache.store_totals(totals)
         for peer in self.peers():
-            vocabulary = peer.engine.index.vocabulary()
+            vocabulary = {term: 0
+                          for term in peer.engine.index.vocabulary()}
             for owner, batch in self._batch_by_owner(
-                    peer.peer_id,
-                    {term: 0 for term in vocabulary}).items():
+                    self._term_owners(peer.peer_id, vocabulary),
+                    vocabulary).items():
                 reply, _rtt = self.send(peer.peer_id, owner,
                                         protocol.DF_GET,
                                         {"terms": sorted(batch)})
@@ -370,26 +414,21 @@ class AlvisNetwork:
                     peer.stats_cache.store_dfs(dict(reply["dfs"]))
         self._statistics_done = True
 
-    def _batch_by_owner(self, origin: int,
-                        per_term: Dict[str, int]) -> Dict[int, Dict[str, int]]:
-        """Group a per-term mapping by the owner of each term's key.
+    def _term_owners(self, origin: int,
+                     terms: Iterable[str]) -> Dict[str, int]:
+        """term -> owner peer of its single-term key, the whole set
+        resolved in one :meth:`publish_owners` call."""
+        key_ids = {term: Key([term]).key_id for term in terms}
+        owners = self.publish_owners(origin, key_ids.values())
+        return {term: owners[key_id] for term, key_id in key_ids.items()}
 
-        With ``config.batch_index_lookups`` all term keys are resolved in
-        one shared ``lookup_many`` round (same greedy routes, hence the
-        same owners; fewer ``LookupHop`` messages) instead of one lookup
-        per term.
-        """
+    @staticmethod
+    def _batch_by_owner(term_owners: Dict[str, int],
+                        per_term: Dict[str, int]) -> Dict[int, Dict[str, int]]:
+        """Group a per-term mapping by the owner of each term's key."""
         batches: Dict[int, Dict[str, int]] = {}
-        if self.config.batch_index_lookups:
-            key_ids = {term: Key([term]).key_id for term in per_term}
-            owners, _messages = self.lookup_owners(
-                origin, list(key_ids.values()))
-            for term, value in per_term.items():
-                batches.setdefault(owners[key_ids[term]], {})[term] = value
-            return batches
         for term, value in per_term.items():
-            owner, _hops = self.lookup_owner(origin, Key([term]).key_id)
-            batches.setdefault(owner, {})[term] = value
+            batches.setdefault(term_owners[term], {})[term] = value
         return batches
 
     # ------------------------------------------------------------------
@@ -428,35 +467,27 @@ class AlvisNetwork:
 
         Updates the peer's local engine, pushes df deltas and the
         document's single-term postings into the global index — the
-        steady-state "index some new documents" flow of the demo.
+        steady-state "index some new documents" flow of the demo.  The
+        terms' owners are resolved once and serve both sends.
         """
         doc_id = self.publish_documents(peer_id, [document], policy)[0]
         self.note_index_update()
         peer = self.peer(peer_id)
         terms = sorted(set(self.analyzer.analyze(document.text)))
+        owners = self._term_owners(peer_id, terms)
         for owner, batch in self._batch_by_owner(
-                peer_id, {term: 1 for term in terms}).items():
+                owners, {term: 1 for term in terms}).items():
             self.send(peer_id, owner, protocol.DF_PUBLISH, {"dfs": batch})
         stats = (peer.stats_cache.statistics()
                  if peer.stats_cache.totals is not None else None)
-        owners_map: Optional[Dict[int, int]] = None
-        if self.config.batch_index_lookups:
-            owners_map, _messages = self.lookup_owners(
-                peer_id, [Key([term]).key_id for term in terms])
         for term in terms:
-            key = Key([term])
             postings = peer.engine.top_k_for_key(
                 [term], self.config.truncation_k, stats=stats)
-            local_df = postings.global_df
-            if owners_map is not None:
-                owner = owners_map[key.key_id]
-            else:
-                owner, _hops = self.lookup_owner(peer_id, key.key_id)
             payload = {"contributor": peer_id,
                        "items": [{"key_terms": [term],
                                   "postings": postings,
-                                  "local_df": local_df}]}
-            self.send(peer_id, owner, protocol.PUBLISH_KEY, payload)
+                                  "local_df": postings.global_df}]}
+            self.send(peer_id, owners[term], protocol.PUBLISH_KEY, payload)
         return doc_id
 
     def unpublish(self, peer_id: int, doc_id: int) -> None:
@@ -464,7 +495,8 @@ class AlvisNetwork:
 
         The holder removes the document locally, pushes negative df
         deltas to the term owners, and sends ``RetractDoc`` to the
-        responsible peer of each of the document's single-term keys.
+        responsible peer of each of the document's single-term keys;
+        the owners are resolved once and serve both sends.
         Combination keys that still reference the document are cleaned
         lazily: the retrieval path drops results whose document no
         longer resolves to a live owner.
@@ -477,18 +509,17 @@ class AlvisNetwork:
         peer.unpublish_document(doc_id)
         self._doc_owner.pop(doc_id, None)
         self.note_index_update()
+        owners = self._term_owners(peer_id, terms)
         for owner, batch in self._batch_by_owner(
-                peer_id, {term: -1 for term in terms}).items():
+                owners, {term: -1 for term in terms}).items():
             self.send(peer_id, owner, protocol.DF_PUBLISH,
                       {"dfs": batch})
         for term in terms:
-            key = Key([term])
-            owner, _hops = self.lookup_owner(peer_id, key.key_id)
             payload = {"key_terms": [term], "doc_id": doc_id,
                        "contributor": peer_id,
                        "new_local_df":
                        peer.engine.index.document_frequency(term)}
-            self.send(peer_id, owner, protocol.RETRACT_DOC, payload)
+            self.send(peer_id, owners[term], protocol.RETRACT_DOC, payload)
 
     # ------------------------------------------------------------------
     # Querying

@@ -181,8 +181,9 @@ class QDIManager:
         """Ask the single-term key's owner for its contributor set."""
         services = self.peer.services
         term_key = Key([term])
-        owner, _hops = services.lookup_owner(self.peer.peer_id,
-                                             term_key.key_id)
+        owners, _messages = services.lookup_owners(self.peer.peer_id,
+                                                   [term_key.key_id])
+        owner = owners[term_key.key_id]
         payload = {"term": term}
         reply, _rtt = services.send(self.peer.peer_id, owner,
                                     protocol.CONTRIBUTORS_GET, payload)

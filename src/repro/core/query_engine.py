@@ -31,8 +31,9 @@ producing outcomes identical to the per-probe path:
   the bound conservative.
 
 The per-probe path survives as a compatibility mode (``batch_lookups``
-off, ``cache_bytes`` 0): it issues byte-for-byte the same traffic as the
-pre-engine implementation, which keeps the seed benchmarks comparable.
+off, ``cache_bytes`` 0): it issues the pre-engine message sequence — one
+single-key lookup round and one ``ProbeKey`` per lattice node — which
+keeps the seed benchmarks comparable.
 """
 
 from __future__ import annotations
@@ -103,16 +104,17 @@ class QueryEngine:
             self.cache_put(cache, key, found, postings)
 
         def probe_one(key: Key) -> ProbeResult:
-            """The per-probe compatibility path (seed-identical traffic)."""
+            """The per-probe compatibility path (seed message sequence)."""
             cached = cache_lookup(key)
             if cached is not None:
                 return cached
             try:
-                owner, hops = network.lookup_owner(origin, key.key_id)
+                resolved, hops = network.lookup_owners(origin, [key.key_id])
             except DeliveryError:
                 # A routing hop hit a departed peer: give up on this
                 # probe gracefully instead of crashing the query.
                 return DROPPED_PROBE
+            owner = resolved[key.key_id]
             owners[key] = owner
             trace.lookup_hops += hops
             payload = {"key_terms": list(key.terms)}

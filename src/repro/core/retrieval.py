@@ -51,7 +51,11 @@ class QueryTrace:
       message count, never the reverse);
     * ``lookup_hops`` counts routed ``LookupHop`` messages; under
       ``batch_lookups`` keys sharing a hop share a message, so the count
-      is the amortized (billed) hop cost of the query.
+      is the amortized (billed) hop cost of the query.  Every query pays
+      its own routing: only the origin's ``cache_lookups`` cache can
+      answer a key without a walk (the publish-side owner memo is never
+      read on the query path), so the count does not depend on what
+      indexing or earlier queries of other origins routed.
     """
 
     query: Key

@@ -42,9 +42,12 @@ to *a network serving traffic*:
   flow control on the retrieval path (the NCA'06 controller E8
   validates in isolation).
 
-For a single query the runtime issues byte-for-byte the traffic of the
-synchronous frontier-batched path (asserted by the cross-mode equality
-tests): concurrency changes timing, never traffic semantics.  When
+For one query at a time — a single query or a sequence of
+non-overlapping ones — the runtime issues byte-for-byte the traffic of
+the synchronous frontier-batched path (asserted by the cross-mode
+equality tests): both route every lookup through the same walk and
+neither reads the publish-side owner memo, so concurrency changes
+timing, never traffic semantics.  When
 messages are shared across queries, each message's wire bytes are
 *pro-rated* across the participating queries' traces (integer shares
 differing by at most one byte), so summed per-query bytes reconcile
@@ -802,34 +805,21 @@ class AsyncQueryRuntime:
     def _resolve_owners(self, job: QueryJob, key_ids: List[int]):
         """Resolve responsible peers through the dispatch queue.
 
-        Honors the origin's key->owner lookup cache exactly like the
-        synchronous :meth:`AlvisNetwork.lookup_owners`; returns
-        ``{key_id: owner peer}`` and charges the trace for the hop
-        messages that carried this query's keys.
+        The origin's key->owner cache applies exactly as in the
+        synchronous :meth:`AlvisNetwork.lookup_owners` (both go through
+        :meth:`AlvisNetwork.cached_owners`); returns ``{key_id: owner
+        peer}`` and charges the trace for the hop messages that carried
+        this query's keys.
         """
-        network = self.network
-        config = network.config
         trace = job.trace
-        unique = list(dict.fromkeys(key_ids))
-        owners: Dict[int, int] = {}
-        cache: Optional[Dict[int, int]] = None
-        if config.cache_lookups:
-            cache = network._fresh_lookup_cache(job.origin)
-            for key_id in unique:
-                cached_owner = cache.get(key_id)
-                if cached_owner is not None:
-                    owners[key_id] = cached_owner
-        misses = [key_id for key_id in unique if key_id not in owners]
+        owners, misses, remember = self.network.cached_owners(job.origin,
+                                                              key_ids)
         if misses:
             grant = yield self.dispatcher(job.origin).lookup(misses)
             trace.lookup_hops += grant.messages
             self._charge(trace, protocol.LOOKUP_HOP, grant.bytes)
-            for key_id in misses:
-                owner = grant.owners[key_id]
-                owners[key_id] = owner
-                if cache is not None and \
-                        len(cache) < config.lookup_cache_size:
-                    cache[key_id] = owner
+            remember(grant.owners)
+            owners.update(grant.owners)
         return owners
 
     def _launch_prefetch(self, job: QueryJob,

@@ -9,7 +9,7 @@ and ring) — and lets unit tests substitute an in-memory fake.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Protocol, Tuple
 
 from repro.core.config import AlvisConfig
 
@@ -21,20 +21,14 @@ class NetworkServices(Protocol):
 
     config: AlvisConfig
 
-    def lookup_owner(self, origin: int, key_id: int) -> Tuple[int, int]:
-        """Resolve the peer responsible for ``key_id``.
-
-        Returns ``(owner_peer_id, hops)``; routing traffic is accounted by
-        the implementation.
-        """
-        ...
-
     def lookup_owners(self, origin: int,
-                      key_ids: Sequence[int]) -> Tuple[Dict[int, int], int]:
-        """Resolve a batch of keys in one shared routed round.
+                      key_ids: Iterable[int]) -> Tuple[Dict[int, int], int]:
+        """Resolve a batch of keys (one key is a batch of one) in one
+        shared routed round.
 
         Returns ``({key_id: owner_peer_id}, routed hop messages)`` — the
-        message count is amortized across keys sharing hops.
+        message count is amortized across keys sharing hops; routing
+        traffic is accounted by the implementation.
         """
         ...
 

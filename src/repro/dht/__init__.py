@@ -27,7 +27,7 @@ from repro.dht.idspace import (
     random_id,
 )
 from repro.dht.node import DHTNode
-from repro.dht.ring import DHTRing, LookupResult
+from repro.dht.ring import DHTRing
 from repro.dht.routing import (
     FingerTableStrategy,
     HopSpaceFingers,
@@ -50,7 +50,6 @@ __all__ = [
     "random_id",
     "DHTNode",
     "DHTRing",
-    "LookupResult",
     "FingerTableStrategy",
     "HopSpaceFingers",
     "NaiveFingers",

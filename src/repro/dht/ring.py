@@ -5,13 +5,15 @@ played by the converged maintenance protocol).  Lookups, however, are
 executed hop by hop, each hop the greedy choice of the node it leaves
 (:meth:`~repro.dht.routing.FingerTableStrategy.next_hop`, computed from
 the sorted membership), so the measured hop counts and routing traffic are
-those of the distributed algorithm, not of the oracle.
+those of the distributed algorithm, not of the oracle.  One walk routes
+every lookup: :meth:`DHTRing.lookup_many` (a single key is a batch of
+one), with :meth:`DHTRing.lookup_many_async` as its event-kernel twin.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dht.idspace import ID_BITS
@@ -21,40 +23,25 @@ from repro.net.message import HEADER_BYTES, Message, encoded_size
 from repro.net.transport import TransportBackend
 from repro.sim.procs import all_of
 
-__all__ = ["LookupResult", "BatchLookupResult", "DHTRing",
-           "HOP_MESSAGE_BYTES", "HOP_BATCH_BASE_BYTES", "HOP_KEY_BYTES"]
+__all__ = ["LookupRound", "DHTRing",
+           "HOP_BATCH_BASE_BYTES", "HOP_KEY_BYTES"]
 
 #: Precomputed ``LookupHop`` wire sizes for the hop fast path.  The wire
 #: model encodes ints at a fixed 8 bytes, so hop-message sizes depend
-#: only on the key *count*, never the key values — a single-key hop, the
-#: envelope of a batched hop, and the per-key increment.  Pinned against
+#: only on the key *count*, never the key values — the envelope of a
+#: hop, and the per-key increment.  Pinned against
 #: ``Message.size_bytes`` by ``tests/test_dht_routing.py``.
-HOP_MESSAGE_BYTES = HEADER_BYTES + encoded_size({"key_id": 0})
 HOP_BATCH_BASE_BYTES = HEADER_BYTES + encoded_size({"key_ids": []})
 HOP_KEY_BYTES = encoded_size(0)
-
-#: Upper bound on memoized key -> owner entries; routing keeps working
-#: past it, new entries just stop being recorded until the next
-#: membership change clears the memo.
-_OWNER_CACHE_MAX_ENTRIES = 1 << 20
 
 #: Handover callback signature: (old_owner, new_owner, key_range_lo, key_range_hi).
 HandoverCallback = Callable[[int, int, int, int], None]
 
 
 @dataclass
-class LookupResult:
-    """Outcome of one iterative lookup."""
-
-    key_id: int
-    owner: int
-    hops: int
-    path: List[int] = field(default_factory=list)
-
-
-@dataclass
-class BatchLookupResult:
-    """Outcome of one batched (shared-traversal) lookup round.
+class LookupRound:
+    """Outcome of one (shared-traversal) lookup round over one or more
+    keys.
 
     ``messages`` counts the routed ``LookupHop`` messages actually sent:
     keys whose greedy routes share a hop share one message, which is
@@ -101,14 +88,6 @@ class DHTRing:
         #: Incremented on every membership change; caches of key->owner
         #: resolutions pair with it to detect staleness cheaply.
         self.membership_epoch = 0
-        #: Key -> owner memo (bulk batched lookups only): once a batch
-        #: walk resolved a key, later batches from *any* source resolve
-        #: it directly — the standard DHT routing-cache shortcut (a
-        #: peer that already knows a key's owner addresses it without
-        #: re-routing), so the cached keys cost no further lookup
-        #: traffic.  Cleared on every membership change, so it can
-        #: never serve a stale owner.
-        self._owner_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -154,7 +133,7 @@ class DHTRing:
             raise ValueError(f"node {node_id} already present")
         self._members.add(node_id)
         insort(self._sorted_ids, node_id)
-        self._membership_changed()
+        self.membership_epoch += 1
 
     def remove_node(self, node_id: int) -> None:
         """Remove a node from the membership."""
@@ -162,11 +141,7 @@ class DHTRing:
             raise KeyError(f"node {node_id} not present")
         self._members.discard(node_id)
         self._sorted_ids.pop(bisect_left(self._sorted_ids, node_id))
-        self._membership_changed()
-
-    def _membership_changed(self) -> None:
         self.membership_epoch += 1
-        self._owner_cache.clear()
 
     # ------------------------------------------------------------------
     # Ownership oracle (what the converged ring agrees on)
@@ -214,62 +189,18 @@ class DHTRing:
     # Iterative lookup
     # ------------------------------------------------------------------
 
-    def lookup(self, source_id: int, key_id: int,
-               account: bool = False) -> LookupResult:
-        """Route from ``source_id`` to the owner of ``key_id``.
-
-        Follows each node's greedy next-hop choice; the membership oracle is
-        used only for the local ownership test (a node knowing its
-        predecessor).  With ``account=True`` and a transport attached, each
-        hop sends a small ``LookupHop`` message so routing traffic shows up
-        in the byte accounting; a backend offering ``deliver_hop`` is
-        charged the precomputed hop size without building the message.
-        """
-        if source_id not in self._members:
-            raise KeyError(f"source node {source_id} not present")
-        deliver = (getattr(self.transport, "deliver_hop", None)
-                   if account and self.transport is not None else None)
-        members = self._sorted_ids
-        n = len(members)
-        next_hop = self.strategy.next_hop
-        owner_rank = bisect_left(members, key_id) % n
-        rank = bisect_left(members, source_id)
-        current = source_id
-        path = [current]
-        hops = 0
-        max_hops = 2 * ID_BITS + n
-        while rank != owner_rank:
-            next_id = next_hop(members, rank, key_id)
-            if next_id is None:
-                next_id = members[(rank + 1) % n]
-            if deliver is not None:
-                deliver(current, next_id, HOP_MESSAGE_BYTES)
-            elif account and self.transport is not None:
-                message = Message(src=current, dst=next_id,
-                                  kind="LookupHop",
-                                  payload={"key_id": key_id})
-                self.transport.request(message)
-            current = next_id
-            path.append(current)
-            hops += 1
-            if hops > max_hops:
-                raise RuntimeError(
-                    f"lookup for {key_id} exceeded {max_hops} hops; "
-                    "routing is inconsistent")
-            rank = bisect_left(members, current)
-        return LookupResult(key_id=key_id, owner=current, hops=hops,
-                            path=path)
-
     def lookup_many(self, source_id: int, key_ids: Iterable[int],
-                    account: bool = False) -> BatchLookupResult:
+                    account: bool = False) -> LookupRound:
         """Route one *batch* of keys from ``source_id`` in a shared round.
 
-        Every key follows exactly the greedy hop sequence :meth:`lookup`
-        would give it, so the resolved owners are identical — but keys
+        Every key follows its own greedy hop sequence (each hop the
+        strategy's choice at the node it leaves) to its owner — but keys
         taking the same hop travel in one combined ``LookupHop`` message,
         so routing steps are shared and the per-key message cost is
         amortized across the batch (the lattice-frontier batching of the
-        query engine).
+        query engine).  A single key is a batch of one: one message per
+        hop.  Pure routing — nothing is memoized, so every call pays its
+        walk.
         """
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
@@ -286,49 +217,32 @@ class DHTRing:
             if live is not None:
                 hop_acc = {}
         pending = sorted(set(key_ids))
-        owners: Dict[int, int] = {}
-        per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
-        # Routing-cache shortcut, bulk accounting mode only (where hop
-        # effects are pure accounting): a key whose owner is already
-        # memoized for this membership epoch resolves directly — the
-        # source addresses the owner without re-routing, so the key
-        # costs no lookup traffic and no forwarding hops.
-        owner_cache = self._owner_cache if hop_acc is not None else None
-        if owner_cache:
-            cached_get = owner_cache.get
-            unresolved = []
-            for key_id in pending:
-                owner = cached_get(key_id)
-                if owner is None:
-                    unresolved.append(key_id)
-                else:
-                    owners[key_id] = owner
-            pending = unresolved
-        frontier: Dict[int, List[int]] = (
-            {source_id: pending} if pending else {})
-        messages = 0
-        rounds = 0
-        max_rounds = 2 * ID_BITS + self.size
         try:
-            result = self._lookup_many_rounds(
-                frontier, owners, per_key_hops, deliver, live, hop_acc,
-                account, messages, rounds, max_rounds)
+            return self._lookup_many_rounds(source_id, pending, deliver,
+                                            live, hop_acc, account)
         finally:
             # Settle accumulated bulk hops even when a delivery error
             # aborts the walk: exactly the hops per-hop delivery would
             # have accounted before raising.
             if hop_acc:
                 self.transport.flush_hop_bulk(hop_acc)
-        if (owner_cache is not None
-                and len(owner_cache) < _OWNER_CACHE_MAX_ENTRIES):
-            owner_cache.update(result.owners)
-        return result
 
-    def _lookup_many_rounds(self, frontier, owners, per_key_hops, deliver,
-                            live, hop_acc, account, messages, rounds,
-                            max_rounds):
+    #: An alias, not a second walk: nothing routes through it.  Like
+    #: :meth:`maintain` it survives only because ``perf/tracer.py``'s
+    #: entry-point table names it, and goes together with that entry.
+    lookup = lookup_many
+
+    def _lookup_many_rounds(self, source_id, pending, deliver, live,
+                            hop_acc, account):
         """The frontier walk of :meth:`lookup_many` (split out so the
         bulk-hop flush wraps it in one ``finally``)."""
+        owners: Dict[int, int] = {}
+        per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
+        frontier: Dict[int, List[int]] = (
+            {source_id: pending} if pending else {})
+        messages = 0
+        rounds = 0
+        max_rounds = 2 * ID_BITS + self.size
         members = self._sorted_ids
         n = len(members)
         hop = self.strategy.next_hop
@@ -391,7 +305,7 @@ class DHTRing:
                     messages += 1
                     next_frontier.setdefault(next_id, []).extend(batch)
             frontier = next_frontier
-        return BatchLookupResult(owners=owners, messages=messages,
+        return LookupRound(owners=owners, messages=messages,
                                  per_key_hops=per_key_hops)
 
     def lookup_many_async(self, source_id: int, key_ids: Iterable[int],
@@ -427,7 +341,7 @@ class DHTRing:
           case, beyond which the oracle answers.
 
         Returns (via ``StopIteration`` / proc result) a
-        :class:`BatchLookupResult` with ``message_batches`` and
+        :class:`LookupRound` with ``message_batches`` and
         ``message_bytes`` populated.
         """
         if source_id not in self._members:
@@ -551,7 +465,7 @@ class DHTRing:
             else:
                 consecutive_overflows = 0
             frontier = next_frontier
-        return BatchLookupResult(owners=owners, messages=messages,
+        return LookupRound(owners=owners, messages=messages,
                                  per_key_hops=per_key_hops,
                                  message_batches=message_batches,
                                  message_bytes=message_bytes,

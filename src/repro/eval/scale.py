@@ -7,8 +7,8 @@ so peak RSS is attributable::
     PYTHONPATH=src python -m repro.eval.scale \
         --peers 10000 --queries 36 --churn 90 --json -
 
-A leg builds the network with batched index lookups, runs the
-statistics phase and HDK index build, then drives a *churning query
+A leg builds the network, runs the statistics phase and HDK index
+build (each peer resolving its keys in one shared lookup round), then drives a *churning query
 workload*: join/leave events interleaved with queries through the
 async runtime.  Routing derives every hop from the current
 membership, so a membership change leaves no routing table to repair.
@@ -52,9 +52,7 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
                                     min_terms=2, max_terms=3, seed=seed))
     timings: Dict[str, float] = {}
 
-    # The indexing-phase scale-out: batched lookups change only
-    # LookupHop traffic, never HDK contents.
-    config = AlvisConfig(async_queries=True, batch_index_lookups=True)
+    config = AlvisConfig(async_queries=True)
 
     started = time.perf_counter()
     network = AlvisNetwork(num_peers=peers, config=config, seed=seed)

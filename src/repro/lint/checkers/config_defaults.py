@@ -58,8 +58,6 @@ PINNED_DEFAULTS: Dict[str, Any] = {
     "dispatch_window": 0.0,
     "pipeline_levels": False,
     "request_timeout": 0.0,
-    # indexing-phase scale-out (off = seed-comparable publish traffic)
-    "batch_index_lookups": False,
     # congestion control (off = unthrottled runtime, E8 baseline)
     "congestion_control": False,
     "congestion_initial_window": 4.0,

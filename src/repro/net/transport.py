@@ -554,7 +554,9 @@ class SimTransport:
         value is discarded by batched routing) and no active partition
         (so the only failure mode is an unregistered destination, which
         the caller checks against the returned view).  Totals are
-        identical to per-hop delivery in every case.
+        identical to per-hop delivery in every case, and no routing
+        decision depends on whether bulk mode is on: it is an accounting
+        fast path only.
         """
         if self._partition_of is not None:
             return None

@@ -115,14 +115,15 @@ class UnsupportedKindError(WireError):
 #
 # A payload only encodes the fields it actually carries (the 4-byte
 # container prefix doubles as the field count), so variant payloads —
-# e.g. LookupHop's single ``key_id`` vs batched ``key_ids`` — need no
-# presence flags.
+# e.g. DocReply's success fields vs its ``error`` — need no presence
+# flags.  A LookupHop always carries ``key_ids``: a one-key hop is a
+# one-element list.
 
 _PROBE_ITEM = ("struct", {"found": "bool",
                           "postings": ("opt", "postings")})
 
 _SCHEMAS: Dict[str, Dict[str, Any]] = {
-    protocol.LOOKUP_HOP: {"key_id": "id", "key_ids": ("list", "id")},
+    protocol.LOOKUP_HOP: {"key_ids": ("list", "id")},
     protocol.DF_PUBLISH: {"dfs": ("map", "str", "int")},
     protocol.DF_GET: {"terms": ("list", "str")},
     protocol.DF_REPLY: {"dfs": ("map", "str", "int")},

@@ -61,6 +61,27 @@ def qdi_network(small_corpus) -> AlvisNetwork:
     return network
 
 
+@pytest.fixture(scope="session")
+def scan_route():
+    """The routing reference: ``scan_route(ring, source, key)`` is the
+    path of the greedy scan over each node's fingers plus successor list
+    (``ring.node(x).next_hop``), ended by the ownership oracle.  It
+    shares no code with the closed form ``DHTRing.lookup_many`` routes
+    with, so ``path[-1]`` and ``len(path) - 1`` check its owner and
+    per-key hop count."""
+
+    def route(ring, source, key):
+        path = [source]
+        while ring.successor_of(key) != path[-1]:
+            assert len(path) <= 2 * 64 + ring.size, "scan does not converge"
+            node = ring.node(path[-1])
+            next_id = node.next_hop(key)
+            path.append(next_id if next_id is not None else node.successor)
+        return path
+
+    return route
+
+
 @pytest.fixture()
 def lint_project(tmp_path):
     """Factory fixture for lint tests: build a throwaway project tree.

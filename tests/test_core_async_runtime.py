@@ -100,6 +100,34 @@ class TestCrossModeEquality:
             assert sync_trace.request_messages == \
                 async_trace.request_messages
 
+    def test_query_sequence_traffic_identical(self, small_corpus,
+                                              small_workload):
+        # Regression: the sync batched engine used to resolve keys from
+        # the ring-wide owner memo indexing filled, so over a query
+        # sequence it sent about half the LookupHop bytes of its async
+        # twin.  Both now pay their own routing, query after query.
+        engines = {}
+        for label, overrides in (("sync", dict(batch_lookups=True)),
+                                 ("async", dict(async_queries=True))):
+            network = AlvisNetwork(num_peers=24,
+                                   config=AlvisConfig(**overrides), seed=7)
+            network.distribute_documents(small_corpus.documents())
+            network.build_index(mode="hdk")
+            network.reset_traffic()
+            origins = network.peer_ids()
+            traces = [network.query(origins[index % len(origins)],
+                                    list(small_workload.pool[index]))[1]
+                      for index in range(12)]
+            engines[label] = (network.bytes_by_kind(), traces)
+        sync_bytes, sync_traces = engines["sync"]
+        async_bytes, async_traces = engines["async"]
+        assert sync_bytes["LookupHop"] > 0
+        assert sync_bytes["LookupHop"] == async_bytes["LookupHop"]
+        assert sync_bytes == async_bytes
+        for sync_trace, async_trace in zip(sync_traces, async_traces):
+            assert sync_trace.bytes_by_kind == async_trace.bytes_by_kind
+            assert sync_trace.lookup_hops == async_trace.lookup_hops
+
     def test_dispatch_window_changes_latency_not_traffic(self):
         fast = build_network(batch_lookups=True, async_queries=True)
         windowed = build_network(batch_lookups=True, async_queries=True,

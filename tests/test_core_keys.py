@@ -131,11 +131,12 @@ class TestKeyIdWireRoundTrip:
         from repro.net import wire
         from repro.net.message import Message
 
+        # A one-key hop: a one-element key_ids list.
         key = Key(["wire", "trip"])
         message = Message(src=1, dst=2, kind=protocol.LOOKUP_HOP,
-                          payload={"key_id": key.key_id})
+                          payload={"key_ids": [key.key_id]})
         decoded = wire.decode(wire.encode(message))
-        assert decoded.payload["key_id"] == key.key_id
+        assert list(decoded.payload["key_ids"]) == [key.key_id]
 
     def test_lookup_hop_batched_key_ids_round_trip(self):
         from repro.net import protocol

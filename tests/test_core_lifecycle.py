@@ -90,6 +90,65 @@ class TestUnpublish:
         assert all(doc.doc_id != doc_id for doc in results)
 
 
+def _lookup_messages(network, action):
+    """``LookupHop`` messages sent while ``action()`` runs."""
+    counter = "net.msgs.sent.LookupHop"
+    before = network.simulator.metrics.counter_value(counter)
+    action()
+    return network.simulator.metrics.counter_value(counter) - before
+
+
+def _term_key_ids(network, text):
+    return [Key([term]).key_id
+            for term in sorted(set(network.analyzer.analyze(text)))]
+
+
+class TestPublishSideResolution:
+    """Maintenance flows resolve a document's terms in one shared round
+    and reuse the owners for every message they send."""
+
+    @staticmethod
+    def _cold_twins():
+        # A join after the build drops the publish-side owner memo, so
+        # the flow under test routes its keys like a cold lookup_owners.
+        twins = []
+        for _ in range(2):
+            network, host, doc_id = _network_with_zebra()
+            network.churn().join()
+            twins.append(network)
+        return twins, host, doc_id
+
+    def test_unpublish_routes_terms_once(self):
+        (network, twin), host, doc_id = self._cold_twins()
+        text = network.peer(host).engine.store.get(doc_id).text
+        key_ids = _term_key_ids(twin, text)
+        unpublish = _lookup_messages(
+            network, lambda: network.unpublish(host, doc_id))
+        one_round = _lookup_messages(
+            twin, lambda: twin.lookup_owners(host, key_ids))
+        assert one_round > 0
+        assert unpublish == one_round
+
+    def test_publish_incremental_routes_terms_once(self):
+        (network, twin), host, _doc_id = self._cold_twins()
+        text = "okapi narwhal tundra migration okapi"
+        key_ids = _term_key_ids(twin, text)
+        publish = _lookup_messages(
+            network, lambda: network.publish_incremental(
+                host, Document(doc_id=0, title="Okapi", text=text)))
+        one_round = _lookup_messages(
+            twin, lambda: twin.lookup_owners(host, key_ids))
+        assert one_round > 0
+        assert publish == one_round
+
+    def test_indexed_keys_resolve_from_the_memo(self):
+        # Right after the build every single-term key of the document
+        # was routed by its publisher: retracting it routes nothing.
+        network, host, doc_id = _network_with_zebra()
+        assert _lookup_messages(
+            network, lambda: network.unpublish(host, doc_id)) == 0
+
+
 class TestLookupCache:
     def test_cache_eliminates_hops_on_repeat(self):
         config = AlvisConfig(cache_lookups=True)

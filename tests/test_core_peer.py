@@ -33,7 +33,7 @@ class TestDispatch:
             _send(peer, "Bogus", {})
 
     def test_lookup_hop_is_silent(self, peer):
-        assert _send(peer, protocol.LOOKUP_HOP, {"key_id": 5}) is None
+        assert _send(peer, protocol.LOOKUP_HOP, {"key_ids": [5]}) is None
 
 
 class TestStatisticsHandlers:

@@ -51,7 +51,7 @@ class TestJoin:
         assert old_owner == ring.successor_of((new_id + 1) % 2 ** 64) \
             or old_owner != new_id
 
-    def test_lookups_correct_after_join(self):
+    def test_lookups_correct_after_join(self, scan_route):
         ring = _ring(20, seed=4)
         churn = ChurnProcess(ring, random.Random(5))
         for _ in range(5):
@@ -60,7 +60,10 @@ class TestJoin:
         for _ in range(50):
             key = rng.getrandbits(64)
             source = rng.choice(list(ring.member_ids))
-            assert ring.lookup(source, key).owner == ring.successor_of(key)
+            result = ring.lookup_many(source, [key])
+            assert result.owners[key] == ring.successor_of(key)
+            path = scan_route(ring, source, key)
+            assert result.per_key_hops[key] == len(path) - 1
 
 
 class TestLeave:
@@ -115,7 +118,7 @@ class TestSession:
         assert churn.history[0].ring_size_after == 6
         assert churn.history[1].ring_size_after == 5
 
-    def test_lookup_correct_after_heavy_churn(self):
+    def test_lookup_correct_after_heavy_churn(self, scan_route):
         ring = _ring(30, seed=13)
         churn = ChurnProcess(ring, random.Random(14))
         churn.run_session(joins=15, leaves=15)
@@ -123,5 +126,8 @@ class TestSession:
         for _ in range(50):
             key = rng.getrandbits(64)
             source = rng.choice(list(ring.member_ids))
-            assert ring.lookup(source, key).owner == ring.successor_of(key)
+            result = ring.lookup_many(source, [key])
+            assert result.owners[key] == ring.successor_of(key)
+            path = scan_route(ring, source, key)
+            assert result.per_key_hops[key] == len(path) - 1
 

@@ -136,26 +136,37 @@ class TestDHTNode:
         assert node.routing_table_size() == 4
 
 
+def _route(ring, source, key):
+    """One-key ``lookup_many``: ``(owner, hops)``."""
+    result = ring.lookup_many(source, [key])
+    assert result.messages == result.per_key_hops[key]
+    return result.owners[key], result.per_key_hops[key]
+
+
 class TestRingLookup:
+    """One-key ``lookup_many`` rounds against the scan reference."""
+
     @pytest.mark.parametrize("strategy", [NaiveFingers(),
                                           HopSpaceFingers()])
-    def test_lookup_finds_true_owner(self, strategy):
+    def test_lookup_finds_true_owner(self, strategy, scan_route):
         ids = uniform_ids(random.Random(8), 100)
         ring = _build_ring(ids, strategy)
         rng = random.Random(9)
         for _ in range(200):
             key = random_id(rng)
             source = rng.choice(ids)
-            result = ring.lookup(source, key)
-            assert result.owner == ring.successor_of(key)
+            owner, hops = _route(ring, source, key)
+            assert owner == ring.successor_of(key)
+            path = scan_route(ring, source, key)
+            assert (owner, hops) == (path[-1], len(path) - 1)
 
     def test_hopspace_hops_bounded_by_log_n(self):
         ids = uniform_ids(random.Random(10), 256)
         ring = _build_ring(ids, HopSpaceFingers())
         rng = random.Random(11)
         for _ in range(200):
-            result = ring.lookup(rng.choice(ids), random_id(rng))
-            assert result.hops <= 8  # ceil(log2 256)
+            _owner, hops = _route(ring, rng.choice(ids), random_id(rng))
+            assert hops <= 8  # ceil(log2 256)
 
     def test_hopspace_hops_bounded_under_skew(self):
         ids = skewed_ids(random.Random(12), 256, cluster_fraction=0.95,
@@ -164,39 +175,38 @@ class TestRingLookup:
         rng = random.Random(13)
         for _ in range(200):
             # Route to other peers' ids: the worst case under skew.
-            result = ring.lookup(rng.choice(ids), rng.choice(ids))
-            assert result.hops <= 8
+            _owner, hops = _route(ring, rng.choice(ids), rng.choice(ids))
+            assert hops <= 8
 
     def test_lookup_from_owner_is_zero_hops(self):
         ids = uniform_ids(random.Random(14), 20)
         ring = _build_ring(ids, HopSpaceFingers())
         key = 12345
         owner = ring.successor_of(key)
-        assert ring.lookup(owner, key).hops == 0
+        assert _route(ring, owner, key) == (owner, 0)
 
-    def test_path_starts_at_source_ends_at_owner(self):
+    def test_path_starts_at_source_ends_at_owner(self, scan_route):
         ids = uniform_ids(random.Random(15), 50)
         ring = _build_ring(ids, HopSpaceFingers())
-        result = ring.lookup(ids[0], 999)
-        assert result.path[0] == ids[0]
-        assert result.path[-1] == result.owner
-        assert len(result.path) == result.hops + 1
+        owner, hops = _route(ring, ids[0], 999)
+        path = scan_route(ring, ids[0], 999)
+        assert path[0] == ids[0]
+        assert path[-1] == owner
+        assert len(path) == hops + 1
 
     def test_singleton_ring_owns_everything(self):
         ring = _build_ring([42], HopSpaceFingers())
-        result = ring.lookup(42, 7)
-        assert result.owner == 42
-        assert result.hops == 0
+        assert _route(ring, 42, 7) == (42, 0)
 
     def test_two_node_ring(self):
         ring = _build_ring([100, 2 ** 60], NaiveFingers())
-        assert ring.lookup(100, 101).owner == 2 ** 60
-        assert ring.lookup(2 ** 60, 50).owner == 100
+        assert _route(ring, 100, 101)[0] == 2 ** 60
+        assert _route(ring, 2 ** 60, 50)[0] == 100
 
     def test_unknown_source_rejected(self):
         ring = _build_ring([1, 2, 3], NaiveFingers())
         with pytest.raises(KeyError):
-            ring.lookup(99, 5)
+            ring.lookup_many(99, [5])
 
 
 class TestRingMembership:
@@ -236,8 +246,7 @@ class TestRingMembership:
             ring.add_node(node_id)
         # No table build step: routing reads the membership alone.
         source = ring.member_ids[0]
-        result = ring.lookup(source, 777)
-        assert result.owner == ring.successor_of(777)
+        assert _route(ring, source, 777)[0] == ring.successor_of(777)
 
     def test_mean_routing_table_size_logarithmic(self):
         ids = uniform_ids(random.Random(17), 256)
@@ -249,19 +258,20 @@ class TestRingMembership:
 class TestHopByteModel:
     """The flat hop-delivery byte constants mirror real Message sizes.
 
-    The fast hop path and the batched frontier walk skip Message
-    construction and charge ``HOP_MESSAGE_BYTES`` /
+    The frontier walk skips Message construction and charges
     ``HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES * len(batch)`` directly —
     these pins guarantee the shortcut charges exactly what the
     equivalent ``LookupHop`` Message would weigh, byte for byte.
     """
 
     def test_single_hop_message_bytes(self):
-        from repro.dht.ring import HOP_MESSAGE_BYTES
+        from repro.dht.ring import HOP_BATCH_BASE_BYTES, HOP_KEY_BYTES
         from repro.net.message import Message
+        # A one-key hop is a one-element key_ids list: 73 bytes.
         message = Message(src=1, dst=2, kind="LookupHop",
-                          payload={"key_id": 2 ** 63})
-        assert message.size_bytes() == HOP_MESSAGE_BYTES
+                          payload={"key_ids": [2 ** 63]})
+        assert message.size_bytes() == \
+            HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES == 73
 
     @pytest.mark.parametrize("batch_size", [0, 1, 3, 17, 256])
     def test_batch_hop_message_bytes(self, batch_size):
@@ -332,7 +342,7 @@ class TestClosedFormNextHop:
             _assert_closed_form_matches_scan(ring, ranks, rng)
 
     @pytest.mark.parametrize("name", sorted(_STRATEGIES))
-    def test_matches_reference_under_churn(self, name):
+    def test_matches_reference_under_churn(self, name, scan_route):
         # 28 -> 34 -> 28 crosses n = 32, where the hop-space offset set
         # changes; then a seeded mix of joins and leaves.
         ring = _build_ring(uniform_ids(random.Random(7), 28),
@@ -345,22 +355,23 @@ class TestClosedFormNextHop:
         for step in steps:
             getattr(churn, step)()
             _assert_closed_form_matches_scan(ring, range(ring.size), rng)
-            # The ring's routes are the scan's routes, hop for hop.
-            for _ in range(4):
-                source, key = rng.choice(ring.member_ids), random_id(rng)
-                path = [source]
-                while ring.successor_of(key) != path[-1]:
-                    node = ring.node(path[-1])
-                    path.append(node.next_hop(key) or node.successor)
-                assert ring.lookup(source, key).path == path
+            # The ring's routes are the scan's routes: same owner, same
+            # number of hops, for keys at and next to members too.
+            source = rng.choice(ring.member_ids)
+            keys = rng.sample(_probe_keys(ring.member_ids, rng), 16)
+            batch = ring.lookup_many(source, keys)
+            for key in keys:
+                path = scan_route(ring, source, key)
+                assert (batch.owners[key], batch.per_key_hops[key]) == \
+                    (path[-1], len(path) - 1)
 
 
 class TestBatchedLookupMatchesSingular:
-    """lookup_many resolves every key to the owner lookup() finds."""
+    """A many-key round resolves every key exactly as its own route."""
 
     @pytest.mark.parametrize("strategy", [NaiveFingers(),
                                           HopSpaceFingers()])
-    def test_owners_and_hops_match(self, strategy):
+    def test_owners_and_hops_match(self, strategy, scan_route):
         ids = uniform_ids(random.Random(23), 100)
         ring = _build_ring(ids, strategy)
         rng = random.Random(24)
@@ -368,9 +379,9 @@ class TestBatchedLookupMatchesSingular:
         source = rng.choice(ids)
         batch = ring.lookup_many(source, keys)
         for key in keys:
-            singular = ring.lookup(source, key)
-            assert batch.owners[key] == singular.owner
-            assert batch.per_key_hops[key] == singular.hops
+            path = scan_route(ring, source, key)
+            assert batch.owners[key] == path[-1]
+            assert batch.per_key_hops[key] == len(path) - 1
 
     def test_batch_messages_never_exceed_singular(self):
         ids = uniform_ids(random.Random(25), 100)
@@ -379,6 +390,6 @@ class TestBatchedLookupMatchesSingular:
         keys = [random_id(rng) for _ in range(50)]
         source = rng.choice(ids)
         batch = ring.lookup_many(source, keys)
-        singular_messages = sum(ring.lookup(source, key).hops
+        singular_messages = sum(ring.lookup_many(source, [key]).messages
                                 for key in keys)
         assert batch.messages <= singular_messages

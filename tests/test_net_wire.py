@@ -30,7 +30,7 @@ _POSTINGS = PostingList([Posting(11, 2.5), Posting(7, 1.25),
 #: One representative payload per wire-supported message kind (plus
 #: payload variants where senders use different field subsets).
 GOLDEN = [
-    (protocol.LOOKUP_HOP, {"key_id": 2**63 + 17}),
+    (protocol.LOOKUP_HOP, {"key_ids": [2**63 + 17]}),
     (protocol.LOOKUP_HOP, {"key_ids": [1, 2**64 - 1, 42]}),
     (protocol.DF_PUBLISH, {"dfs": {"alpha": 3, "beta": 1}}),
     (protocol.DF_GET, {"terms": ["alpha", "beta"]}),

@@ -193,16 +193,17 @@ def test_ranking_never_exceeds_query_terms(term_list):
 
 @given(st.sets(ids, min_size=1, max_size=40), ids, st.data())
 @settings(max_examples=50, deadline=None)
-def test_lookup_always_finds_successor(node_ids, key, data):
+def test_lookup_always_finds_successor(scan_route, node_ids, key, data):
     strategy = data.draw(st.sampled_from([NaiveFingers(),
                                           HopSpaceFingers()]))
     ring = DHTRing(strategy)
     for node_id in node_ids:
         ring.add_node(node_id)
     source = data.draw(st.sampled_from(sorted(node_ids)))
-    result = ring.lookup(source, key)
-    assert result.owner == ring.successor_of(key)
-    assert result.hops < 2 * 64 + len(node_ids)
+    result = ring.lookup_many(source, [key])
+    assert result.owners[key] == ring.successor_of(key)
+    assert result.per_key_hops[key] == \
+        len(scan_route(ring, source, key)) - 1
 
 
 # ---------------------------------------------------------------------------
