@@ -1,10 +1,8 @@
 """E12 (extension) — micro-ablations of the retrieval-path knobs.
 
-Three knobs DESIGN.md calls out but no single paper figure owns:
+Two knobs DESIGN.md calls out but no single paper figure owns:
 
 * **lookup caching** — repeated queries skip the O(log n) DHT lookups;
-* **parallel lattice probes** — per-level concurrency bounds latency by
-  lattice depth instead of lattice size;
 * **rare-combination filter** (``expansion_min_df``) — the HDK pruning
   rule that keeps the 3-term key vocabulary from exploding.
 """
@@ -13,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import BENCH_SEED, make_network
-from repro.core.config import AlvisConfig
+from benchmarks.conftest import BENCH_SEED, make_network, paper_config
 from repro.eval.reporting import print_table
 from repro.eval.storage import storage_report
 
@@ -24,7 +21,7 @@ def e12_cache_rows(bench_corpus, bench_workload):
     rows = []
     for cached in (False, True):
         network = make_network(
-            bench_corpus, config=AlvisConfig(cache_lookups=cached))
+            bench_corpus, config=paper_config(cache_lookups=cached))
         origin = network.peer_ids()[0]
         query = list(bench_workload.pool[0])
         network.query(origin, query)         # warm the cache
@@ -35,27 +32,12 @@ def e12_cache_rows(bench_corpus, bench_workload):
 
 
 @pytest.fixture(scope="module")
-def e12_parallel_rows(bench_corpus, bench_workload):
-    rows = []
-    for parallel in (False, True):
-        network = make_network(
-            bench_corpus, config=AlvisConfig(parallel_probes=parallel))
-        origin = network.peer_ids()[0]
-        total_rtt = 0.0
-        for query in bench_workload.pool[:10]:
-            _r, trace = network.query(origin, list(query))
-            total_rtt += trace.rtt_estimate
-        rows.append([f"parallel={parallel}", total_rtt / 10])
-    return rows
-
-
-@pytest.fixture(scope="module")
 def e12_min_df_rows(bench_corpus):
     rows = []
     for min_df in (1, 2, 4):
         network = make_network(
             bench_corpus, num_peers=12,
-            config=AlvisConfig(expansion_min_df=min_df))
+            config=paper_config(expansion_min_df=min_df))
         report = storage_report(network)
         multi = sum(count for size, count in report.keys_by_size.items()
                     if size > 1)
@@ -65,8 +47,7 @@ def e12_min_df_rows(bench_corpus):
 
 
 def test_e12_ablations(benchmark, capsys, e12_cache_rows,
-                       e12_parallel_rows, e12_min_df_rows,
-                       bench_hdk_network, bench_workload):
+                       e12_min_df_rows, bench_hdk_network, bench_workload):
     origin = bench_hdk_network.peer_ids()[0]
     query = list(bench_workload.pool[2])
     benchmark(lambda: bench_hdk_network.query(origin, query))
@@ -74,24 +55,18 @@ def test_e12_ablations(benchmark, capsys, e12_cache_rows,
         print_table("E12a lookup caching (repeat query)",
                     ["variant", "hops", "bytes", "messages"],
                     e12_cache_rows)
-        print_table("E12b probe parallelism (mean rtt estimate)",
-                    ["variant", "rtt (s)"], e12_parallel_rows)
         print_table("E12c rare-combination filter (expansion_min_df)",
                     ["min_df", "keys", "multi-term keys", "postings"],
                     e12_min_df_rows)
 
 
-def test_e12_shape_holds(e12_cache_rows, e12_parallel_rows,
-                         e12_min_df_rows):
+def test_e12_shape_holds(e12_cache_rows, e12_min_df_rows):
     # Caching removes repeat-lookup hops without changing the protocol
     # messages.
     uncached, cached = e12_cache_rows
     assert cached[1] == 0
     assert uncached[1] > 0
     assert cached[3] == uncached[3]
-    # Parallel probes never increase latency.
-    sequential, parallel = e12_parallel_rows
-    assert parallel[1] <= sequential[1]
     # Stricter min_df -> monotonically fewer multi-term keys.
     multi_counts = [row[2] for row in e12_min_df_rows]
     assert multi_counts == sorted(multi_counts, reverse=True)

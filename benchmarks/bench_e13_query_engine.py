@@ -3,7 +3,7 @@
 Measures what the engine buys on a Zipf-skewed query workload (the
 distribution real query logs follow, which is also what QDI's companion
 evaluation assumes): per-query network messages and bytes with frontier
-batching + probe caching + top-k early termination, against the seed
+batching + probe caching + top-k early termination, against the paper's
 per-probe path — with the requirement that the returned top-k documents
 are identical.
 
@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import (BENCH_SEED, make_network,
+from benchmarks.conftest import (BENCH_SEED, make_network, paper_config,
                                  write_bench_artifact)
 from repro.core.config import AlvisConfig
 from repro.eval.reporting import print_table
@@ -45,10 +45,10 @@ def e13_queries(bench_workload, bench_smoke):
 @pytest.fixture(scope="module")
 def e13_networks(bench_corpus):
     """One network per configuration, shared by stream run + timing."""
-    return {label: make_network(bench_corpus,
-                                config=AlvisConfig(**overrides))
-            for label, overrides in (("seed", {}),
-                                     ("engine", ENGINE_OVERRIDES))}
+    return {label: make_network(bench_corpus, config=config)
+            for label, config in (("seed", paper_config()),
+                                  ("engine",
+                                   AlvisConfig(**ENGINE_OVERRIDES)))}
 
 
 @pytest.fixture(scope="module")

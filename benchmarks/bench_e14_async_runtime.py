@@ -4,14 +4,14 @@ The previous experiments measure *per-query byte counts* with queries
 executed one at a time; the scalability claim the related top-k work
 (Akbarinia et al.) and the P2P-management surveys actually test is
 *latency percentiles under concurrent load*.  This experiment runs a
-Poisson-arrival open workload of Zipf-skewed queries through three
-execution models over the same corpus and index:
+Zipf-skewed query stream through three load shapes of the one query
+engine over the same corpus and index (latency is always measured from
+the virtual clock):
 
-* ``sequential``   — the synchronous frontier-batched engine; queries
-  never overlap, latency is the modelled ``rtt_estimate``;
-* ``async``        — the event-kernel runtime, queries overlap, every
-  probe/lookup is an async request; latency measured from the virtual
-  clock;
+* ``sequential``   — closed loop, one query at a time (``network.query``);
+  queries never overlap;
+* ``async``        — a Poisson-arrival open workload: queries overlap,
+  every probe/lookup is an async request;
 * ``async_batched`` — the runtime plus cross-query dispatch batching
   (``dispatch_window``) and level pipelining (``pipeline_levels``).
 
@@ -42,11 +42,12 @@ from repro.util.zipf import ZipfSampler
 #: high enough that tens of queries overlap.
 ARRIVAL_RATE = 150.0
 
+#: label -> (open workload?, config overrides).
 VARIANTS = {
-    "sequential": dict(batch_lookups=True),
-    "async": dict(batch_lookups=True, async_queries=True),
-    "async_batched": dict(batch_lookups=True, async_queries=True,
-                          dispatch_window=0.05, pipeline_levels=True),
+    "sequential": (False, {}),
+    "async": (True, {}),
+    "async_batched": (True, dict(dispatch_window=0.05,
+                                 pipeline_levels=True)),
 }
 
 
@@ -64,7 +65,7 @@ def e14_workload(bench_workload, bench_smoke):
 def e14_runs(bench_corpus, e14_workload):
     """Run the identical workload through all three execution models."""
     runs = {}
-    for label, overrides in VARIANTS.items():
+    for label, (open_loop, overrides) in VARIANTS.items():
         network = make_network(bench_corpus,
                                config=AlvisConfig(**overrides))
         # A handful of querying front-ends, round-robin: cross-query
@@ -75,7 +76,7 @@ def e14_runs(bench_corpus, e14_workload):
         bytes_before = network.bytes_sent_total()
         clock_before = network.simulator.now
         started = time.perf_counter()
-        if overrides.get("async_queries"):
+        if open_loop:
             jobs = network.run_queries(e14_workload, origins=origins,
                                        arrival_rate=ARRIVAL_RATE)
             latencies = [job.trace.latency for job in jobs]
@@ -88,7 +89,7 @@ def e14_runs(bench_corpus, e14_workload):
             for index, query in enumerate(e14_workload):
                 origin = origins[index % len(origins)]
                 results, trace = network.query(origin, list(query))
-                latencies.append(trace.rtt_estimate)
+                latencies.append(trace.latency)
                 top_k.append([doc.doc_id for doc in results])
             completed = len(e14_workload)
             peak_active = 1

@@ -67,7 +67,7 @@ def e15_workload(bench_workload, bench_smoke):
 
 
 def _run_point(bench_corpus, workload, rate, overrides):
-    config = AlvisConfig(batch_lookups=True, async_queries=True,
+    config = AlvisConfig(batch_lookups=True,
                          dispatch_window=0.02,
                          congestion_max_retransmits=100,
                          **SERVICE_MODEL, **overrides)

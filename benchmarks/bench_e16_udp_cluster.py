@@ -72,8 +72,8 @@ def e16_runs(e16_spec, e16_workload):
     """The same query stream on the simulator and over real UDP."""
     runs = {}
 
-    # Reference: default backend, queries executed sequentially against
-    # an identical twin build (modelled bytes, modelled latency).
+    # Reference: default backend, queries executed one at a time against
+    # an identical twin build (modelled bytes, virtual-clock latency).
     sim_net = build_network(e16_spec)
     origins = sorted(sim_net.peer_ids())[:4]
     bytes_before = sim_net.bytes_sent_total()
@@ -84,7 +84,7 @@ def e16_runs(e16_spec, e16_workload):
         results, trace = sim_net.query(origins[index % len(origins)],
                                        query)
         sim_top_k.append([document.doc_id for document in results])
-        sim_latencies.append(trace.rtt_estimate)
+        sim_latencies.append(trace.latency)
     count = float(len(e16_workload))
     runs["simulator"] = {
         "queries": int(count),

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import make_network
-from repro.core.config import AlvisConfig
+from benchmarks.conftest import make_network, paper_config
 from repro.core.lattice import ProbeStatus
 from repro.eval.reporting import print_table
 
@@ -43,7 +42,7 @@ def _explore_series(network, workload, queries_per_size=12):
                          ids=["prune-on-truncated", "no-truncated-prune"])
 def test_e1_lattice_exploration(benchmark, capsys, bench_corpus,
                                 bench_workload, prune):
-    config = AlvisConfig(prune_on_truncated=prune)
+    config = paper_config(prune_on_truncated=prune)
     network = make_network(bench_corpus, config=config)
     origin = network.peer_ids()[0]
     query = list(bench_workload.pool[0])

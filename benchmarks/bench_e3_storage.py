@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import BENCH_SEED, make_network
-from repro.core.config import AlvisConfig
+from benchmarks.conftest import BENCH_SEED, make_network, paper_config
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.eval.reporting import print_table
 from repro.eval.storage import storage_report
@@ -47,7 +46,7 @@ def e3_dfmax_rows():
     corpus = _corpus(160)
     rows = []
     for df_max in (20, 40, 80):
-        config = AlvisConfig(df_max=df_max)
+        config = paper_config(df_max=df_max)
         network = make_network(corpus, num_peers=12, config=config)
         report = storage_report(network)
         multi = sum(count for size, count in report.keys_by_size.items()

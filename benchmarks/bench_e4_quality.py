@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import make_network
+from benchmarks.conftest import make_network, paper_config
 from repro.baselines.centralized import CentralizedEngine
-from repro.core.config import AlvisConfig
 from repro.eval.quality import overlap_at_k
 from repro.eval.reporting import print_table
 
@@ -47,7 +46,7 @@ def e4_rows(bench_corpus, bench_workload):
     rows = []
     for k in (5, 10, 20, 40):
         network = make_network(bench_corpus,
-                               config=AlvisConfig(truncation_k=k))
+                               config=paper_config(truncation_k=k))
         reference = _reference_for(network)
         plain = _mean_overlap(network, reference, bench_workload)
         refined = _mean_overlap(network, reference, bench_workload,

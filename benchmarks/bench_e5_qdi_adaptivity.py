@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import BENCH_SEED, make_network
-from repro.core.config import AlvisConfig
+from benchmarks.conftest import BENCH_SEED, make_network, paper_config
 from repro.core.lattice import ProbeStatus
 from repro.eval.reporting import print_table
 from repro.util.rng import make_rng
@@ -52,7 +51,7 @@ def _run_stream(network, workload, num_queries, drift=0, rng_label="s"):
 
 @pytest.fixture(scope="module")
 def e5_network(bench_corpus):
-    config = AlvisConfig(qdi_activation_threshold=2,
+    config = paper_config(qdi_activation_threshold=2,
                          qdi_maintenance_interval=40,
                          qdi_decay=0.5, qdi_eviction_threshold=0.25)
     return make_network(bench_corpus, mode="qdi", config=config)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import make_network
-from repro.core.config import AlvisConfig
+from benchmarks.conftest import make_network, paper_config
 from repro.eval.loadbalance import load_balance_report
 from repro.eval.reporting import print_table
 
@@ -31,7 +30,7 @@ def _run_load(network, workload, queries=60):
 def e6_data(bench_corpus, bench_workload):
     data = {}
     for prune in (True, False):
-        config = AlvisConfig(prune_on_truncated=prune)
+        config = paper_config(prune_on_truncated=prune)
         network = make_network(bench_corpus, config=config)
         storage = load_balance_report(
             list(network.per_peer_index_storage().values()))

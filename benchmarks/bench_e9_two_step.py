@@ -8,7 +8,7 @@ documents found in the first step; in this case the retrieval might be
 slower (as it requires several interactions), but can benefit from the
 advanced features made available by the local engines."
 
-Series reproduced: latency estimate, messages and bytes per query for
+Series reproduced: latency, messages and bytes per query for
 step-1-only vs. two-step retrieval, plus the quality delta refinement
 buys.  Expected shape: refinement costs extra round-trips and bytes, is
 never worse in quality.
@@ -45,17 +45,17 @@ def e9_data(bench_hdk_network, bench_workload):
         for refine in (False, True):
             results, trace = network.query(origin, list(query),
                                            refine=refine)
-            totals[refine][0] += trace.rtt_estimate
+            totals[refine][0] += trace.latency
             totals[refine][1] += trace.request_messages
             totals[refine][2] += trace.bytes_sent
             totals[refine][3].append(overlap_at_k(
                 [doc.doc_id for doc in results], truth, 10))
     rows = []
     for refine in (False, True):
-        rtt, messages, bytes_sent, overlaps = totals[refine]
+        latency, messages, bytes_sent, overlaps = totals[refine]
         rows.append([
             "two-step" if refine else "step 1 only",
-            rtt / queries, messages / queries, bytes_sent / queries,
+            latency / queries, messages / queries, bytes_sent / queries,
             sum(overlaps) / len(overlaps)])
     return rows
 
@@ -69,7 +69,7 @@ def test_e9_two_step_retrieval(benchmark, capsys, e9_data,
     with capsys.disabled():
         print_table(
             "E9 step-1-only vs two-step retrieval (per query)",
-            ["mode", "rtt estimate (s)", "messages", "bytes",
+            ["mode", "latency (s)", "messages", "bytes",
              "overlap@10"],
             e9_data)
 

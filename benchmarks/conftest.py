@@ -119,9 +119,16 @@ def bench_workload(bench_corpus) -> QueryWorkload:
                             seed=BENCH_SEED))
 
 
+def paper_config(**overrides) -> AlvisConfig:
+    """An ``AlvisConfig`` on the paper's per-probe wire format — one
+    one-key lookup round and one ``ProbeKey`` per lattice node, the
+    traffic E1-E13 reproduce — with ``overrides`` applied."""
+    return AlvisConfig(batch_lookups=False, **overrides)
+
+
 @pytest.fixture(scope="session")
 def bench_hdk_network(bench_corpus) -> AlvisNetwork:
-    network = AlvisNetwork(num_peers=16, config=AlvisConfig(),
+    network = AlvisNetwork(num_peers=16, config=paper_config(),
                            seed=BENCH_SEED)
     network.distribute_documents(bench_corpus.documents())
     network.build_index(mode="hdk")
@@ -130,9 +137,11 @@ def bench_hdk_network(bench_corpus) -> AlvisNetwork:
 
 def make_network(corpus, num_peers=16, mode="hdk", config=None,
                  seed=BENCH_SEED, **network_kwargs) -> AlvisNetwork:
-    """Build a fresh network over ``corpus`` (for sweeps that mutate)."""
+    """Build a fresh network over ``corpus`` (for sweeps that mutate);
+    per-probe traffic (:func:`paper_config`) unless ``config`` says
+    otherwise."""
     network = AlvisNetwork(num_peers=num_peers,
-                           config=config or AlvisConfig(), seed=seed,
+                           config=config or paper_config(), seed=seed,
                            **network_kwargs)
     network.distribute_documents(corpus.documents())
     network.build_index(mode=mode)

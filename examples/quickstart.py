@@ -6,12 +6,13 @@ Runs the full pipeline of the paper on the built-in sample collection:
 2. drop documents into peers' shared directories,
 3. aggregate global statistics and build the HDK distributed index,
 4. run multi-keyword queries from any peer and inspect the traffic,
-5. turn on the batched + cached query engine (``batch_lookups``,
-   ``cache_bytes``, ``topk_early_stop`` in :class:`repro.AlvisConfig`)
-   and watch repeated queries stop costing traffic,
-6. switch to the async query runtime (``async_queries``) and serve an
-   *open workload* of concurrent queries (``AlvisNetwork.run_queries``)
-   with clock-measured latency percentiles,
+5. turn on the batched + cached query engine (``batch_lookups``, the
+   default, plus ``cache_bytes`` and ``topk_early_stop`` in
+   :class:`repro.AlvisConfig`) and watch repeated queries stop costing
+   traffic,
+6. serve an *open workload* of concurrent queries
+   (``AlvisNetwork.run_queries``) on the same event-kernel engine, with
+   clock-measured latency percentiles,
 7. saturate the network (bounded per-endpoint service queues via
    ``service_rate``/``queue_capacity``) and let the AIMD congestion
    controller (``congestion_control``) keep goodput at the knee,
@@ -33,8 +34,12 @@ from repro.eval.reporting import print_table
 
 def main() -> None:
     # 1. Eight peers; everything (corpus placement, DHT ids, latency) is
-    #    seeded, so this script prints the same output every run.
-    network = AlvisNetwork(num_peers=8, config=AlvisConfig(), seed=42)
+    #    seeded, so this script prints the same output every run.  This
+    #    network speaks the paper's per-probe wire format
+    #    (``batch_lookups=False``): one lookup round and one probe
+    #    message per lattice node.
+    network = AlvisNetwork(num_peers=8,
+                           config=AlvisConfig(batch_lookups=False), seed=42)
 
     # 2. Spread the built-in 12-document sample collection round-robin:
     #    each peer owns its documents, exactly like a shared directory.
@@ -50,7 +55,9 @@ def main() -> None:
 
     # 4. Query from the first peer.  The querying peer explores the
     #    lattice of term combinations (Figure 1 of the paper), unions
-    #    the retrieved posting lists and ranks with BM25.
+    #    the retrieved posting lists and ranks with BM25.  Each query
+    #    runs as a process on the discrete-event kernel, so its trace
+    #    carries a clock-measured ``latency``.
     origin = network.peer_ids()[0]
     for query in ("scalable peer retrieval",
                   "posting list truncation",
@@ -59,7 +66,8 @@ def main() -> None:
         print(f"\nquery: {query!r}")
         print(f"  lattice: probed {trace.probed_count}, "
               f"skipped {trace.skipped_count}; "
-              f"{trace.bytes_sent} bytes, {trace.lookup_hops} hops")
+              f"{trace.bytes_sent} bytes, {trace.lookup_hops} hops, "
+              f"{trace.latency:.2f}s")
         rows = []
         for document in results[:3]:
             details = network.fetch_document(origin, document.doc_id,
@@ -70,17 +78,16 @@ def main() -> None:
         print_table("top results", ["doc", "score", "title", "url"],
                     rows)
 
-    # 5. The batched + cached query engine.  ``batch_lookups`` routes
-    #    each lattice frontier's DHT lookups in one shared round and
-    #    same-owner probes in one message; ``cache_bytes`` gives every
+    # 5. The batched + cached query engine.  ``batch_lookups`` (on by
+    #    default) routes each lattice frontier's DHT lookups in one
+    #    shared round and same-owner probes in one message; ``cache_bytes`` gives every
     #    peer an LRU probe cache (invalidated on churn/republication);
     #    ``topk_early_stop`` prunes lattice nodes whose score ceiling
     #    cannot change the top-k.  Results are identical — only the
     #    traffic shrinks.
     engine = AlvisNetwork(
         num_peers=8, seed=42,
-        config=AlvisConfig(batch_lookups=True, cache_bytes=64 * 1024,
-                           topk_early_stop=True))
+        config=AlvisConfig(cache_bytes=64 * 1024, topk_early_stop=True))
     engine.distribute_documents(sample_documents())
     engine.build_index(mode="hdk")
     origin = engine.peer_ids()[0]
@@ -92,29 +99,28 @@ def main() -> None:
               f"bytes, cache {trace.cache_hits} hits / "
               f"{trace.cache_misses} misses")
 
-    # 6. The async query runtime.  With ``async_queries`` every query is
-    #    a process on the discrete-event kernel: its lookups and probes
-    #    travel as correlated async requests, so *concurrent* queries
-    #    genuinely interleave in virtual time and each trace carries a
-    #    clock-measured ``latency`` (the sync path keeps the modelled
-    #    ``rtt_estimate``).  ``dispatch_window`` coalesces lookups and
-    #    probes across concurrent queries from one origin (server-side
-    #    cross-query batching); ``pipeline_levels`` launches level N+1's
-    #    DHT lookups while level N's probe replies are still in flight.
+    # 6. An open workload.  Every query is a process on the
+    #    discrete-event kernel: its lookups and probes travel as
+    #    correlated async requests, so *concurrent* queries genuinely
+    #    interleave in virtual time and each trace carries a
+    #    clock-measured ``latency``.  ``dispatch_window`` coalesces
+    #    lookups and probes across concurrent queries from one origin
+    #    (server-side cross-query batching); ``pipeline_levels`` launches
+    #    level N+1's DHT lookups while level N's probe replies are still
+    #    in flight.
     #    ``run_queries`` drives a Poisson-arrival open workload — the
     #    "many simultaneous querying peers" scenario of the paper's
     #    scalability argument.
     runtime = AlvisNetwork(
         num_peers=8, seed=42,
-        config=AlvisConfig(batch_lookups=True, async_queries=True,
-                           dispatch_window=0.05, pipeline_levels=True))
+        config=AlvisConfig(dispatch_window=0.05, pipeline_levels=True))
     runtime.distribute_documents(sample_documents())
     runtime.build_index(mode="hdk")
     workload = ["scalable peer retrieval", "posting list truncation",
                 "congestion control"] * 4
     jobs = runtime.run_queries(workload, arrival_rate=100.0)
     summary = runtime.runtime.latency_summary()
-    print("\nwith the async query runtime (open workload):")
+    print("\nopen workload of concurrent queries:")
     print(f"  {len(jobs)} concurrent queries "
           f"(peak {runtime.runtime.peak_active} in flight), latency "
           f"p50 {summary['p50']:.3f}s / p95 {summary['p95']:.3f}s, "
@@ -134,8 +140,7 @@ def main() -> None:
     for label, controlled in (("uncontrolled", False), ("AIMD", True)):
         congested = AlvisNetwork(
             num_peers=8, seed=42,
-            config=AlvisConfig(batch_lookups=True, async_queries=True,
-                               service_rate=25.0, queue_capacity=2,
+            config=AlvisConfig(service_rate=25.0, queue_capacity=2,
                                congestion_control=controlled))
         congested.distribute_documents(sample_documents())
         congested.build_index(mode="hdk")

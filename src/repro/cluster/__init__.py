@@ -6,7 +6,7 @@ the simulator remains the default everywhere else.  See
 build, :class:`~repro.cluster.driver.ClusterDriver` for the process that
 spawns hosts and issues queries, and
 :class:`~repro.cluster.realtime.RealtimeKernel` for how the unchanged
-async runtime is driven in wall-clock time.
+query engine is driven in wall-clock time.
 """
 
 from repro.cluster.driver import ClusterDriver

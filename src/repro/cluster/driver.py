@@ -16,14 +16,14 @@ host, and hosts only ever *reply* — so no host needs a route table, and
 churn on the driver's side (an unregistered peer) surfaces exactly like
 the simulator's, as a nack.
 
-Two execution modes mirror the simulator's:
+Every query runs through the simulator's query engine
+(``runtime.submit`` unchanged) under a
+:class:`~repro.cluster.realtime.RealtimeKernel`, in two load shapes:
 
-* :meth:`run_query` / :meth:`run_query_set` — the synchronous engine,
-  one blocking round-trip at a time (``network.query`` unchanged).
-* :meth:`run_open_workload` — the async runtime under a
-  :class:`~repro.cluster.realtime.RealtimeKernel`, overlapping queries
-  with Poisson arrivals in wall-clock time (``runtime.submit``
-  unchanged).
+* :meth:`run_query` / :meth:`run_query_set` — closed loop, one query
+  at a time, each waited for before the next is submitted;
+* :meth:`run_open_workload` — overlapping queries with Poisson arrivals
+  in wall-clock time.
 """
 
 from __future__ import annotations
@@ -181,9 +181,11 @@ class ClusterDriver:
 
     def run_query(self, origin: int,
                   query: Union[str, Sequence[str]],
-                  refine: Optional[bool] = None):
-        """One synchronous query over UDP; returns ``(results, trace)``."""
-        return self.network.query(origin, query, refine=refine)
+                  refine: Optional[bool] = None,
+                  timeout: float = 60.0):
+        """One query over UDP, waited for; returns ``(results, trace)``."""
+        job, = self._run_jobs([(0.0, origin, query)], refine, timeout)
+        return job.results, job.trace
 
     def run_query_set(self, queries: Sequence[Union[str, Sequence[str]]],
                       origins: Optional[Sequence[int]] = None,
@@ -205,22 +207,19 @@ class ClusterDriver:
                           arrival_rate: float = 20.0,
                           refine: Optional[bool] = None,
                           timeout: float = 60.0) -> List[QueryJob]:
-        """Overlapping queries through the async runtime, over UDP.
+        """Overlapping queries through the query engine, over UDP.
 
         Mirrors :meth:`AlvisNetwork.run_queries`: Poisson arrivals at
-        ``arrival_rate`` per (now wall-clock) second, every query's
-        L3/L4 path executed by the event-kernel dispatchers — driven by
-        a :class:`RealtimeKernel` instead of ``simulator.run()``.
-        Returns the completed jobs in submission order.
+        ``arrival_rate`` per (now wall-clock) second.  Returns the
+        completed jobs in submission order.
         """
         if arrival_rate <= 0:
             raise ValueError(
                 f"arrival_rate must be positive, got {arrival_rate}")
-        network = self.network
         rng = make_rng(self.spec.seed, "udp-workload",
                        self._workload_streams)
         self._workload_streams += 1
-        peer_ids = sorted(network.peer_ids())
+        peer_ids = sorted(self.network.peer_ids())
         submissions = []
         arrival = 0.0
         for index, query in enumerate(queries):
@@ -230,9 +229,17 @@ class ClusterDriver:
             else:
                 origin = rng.choice(peer_ids)
             submissions.append((arrival, origin, query))
+        return self._run_jobs(submissions, refine, timeout)
+
+    def _run_jobs(self, submissions: Sequence[tuple],
+                  refine: Optional[bool],
+                  timeout: float) -> List[QueryJob]:
+        """Submit ``(delay, origin, query)`` triples through the query
+        engine, driven by a :class:`RealtimeKernel` instead of
+        ``simulator.run()``, and wait until every job completed."""
+        network = self.network
         saved_config = network.config
         network.config = saved_config.with_overrides(
-            async_queries=True,
             request_timeout=self.spec.request_timeout)
         jobs: List[QueryJob] = []
         kernel = RealtimeKernel(network.simulator, self.transport)
@@ -255,10 +262,11 @@ class ClusterDriver:
                     break
                 time.sleep(0.01)
             else:
-                pending = sum(1 for job in jobs if not job.done)
+                pending = len(submissions) - sum(1 for job in jobs
+                                                 if job.done)
                 raise RuntimeError(
-                    f"open workload timed out: {pending} of "
-                    f"{len(submissions)} queries still pending after "
+                    f"queries timed out: {pending} of "
+                    f"{len(submissions)} still pending after "
                     f"{timeout:.0f}s")
         finally:
             kernel.stop()

@@ -11,12 +11,11 @@ architecture:
 * :mod:`repro.core.hdk` — indexing with Highly Discriminative Keys,
 * :mod:`repro.core.qdi` — Query-Driven Indexing,
 * :mod:`repro.core.lattice` — query-lattice exploration (Figure 1),
-* :mod:`repro.core.query_engine` — the batched + cached query execution
-  engine (frontier-batched lookups, per-peer probe cache, top-k early
-  termination),
-* :mod:`repro.core.runtime` — the async query runtime (event-kernel
-  execution with concurrent queries, per-origin dispatch queues for
-  cross-query batching, level pipelining, clock-measured latency),
+* :mod:`repro.core.runtime` — the query engine: every query runs on the
+  event kernel (per-probe or frontier-batched lookups and probes,
+  per-peer probe cache, top-k early termination, per-origin dispatch
+  queues for cross-query batching, level pipelining, clock-measured
+  latency),
 * :mod:`repro.core.cache` — the byte-budgeted LRU cache backing it,
 * :mod:`repro.core.retrieval` — the distributed retrieval component,
 * :mod:`repro.core.ranking` — result merging and distributed BM25,

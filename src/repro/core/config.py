@@ -84,14 +84,6 @@ class AlvisConfig:
     #: balance).  Untruncated-list pruning is always on (it is lossless).
     prune_on_truncated: bool = True
 
-    #: Latency model for lattice probes: the deployed client issues all
-    #: probes of one lattice level concurrently, so a level costs the
-    #: *maximum* of its probe round-trips rather than their sum.  Bytes
-    #: and message counts are unaffected.  Not a policy: it shapes only
-    #: the synchronous path's ``rtt_estimate`` (the async runtime measures
-    #: latency from the clock), so it is deleted with that path.
-    parallel_probes: bool = True
-
     #: Cache key->responsible-peer resolutions at the querying peer.
     #: Repeated queries then skip the O(log n) lookup; the cache is
     #: invalidated wholesale on any membership change (off by default so
@@ -129,12 +121,16 @@ class AlvisConfig:
     cache_ttl: int = 0
 
     #: Batch the probes of one lattice frontier: all DHT lookups of a
-    #: level travel in one shared routed round (``DHTRing.lookup_many``)
-    #: and probes to the same responsible peer share one ``ProbeBatch``
-    #: message.  Resolved owners, probe outcomes and ranking are
-    #: identical to the per-probe path; only message counts (and their
-    #: header bytes) shrink.  Off by default for seed-comparable traces.
-    batch_lookups: bool = False
+    #: level travel in one shared routed round
+    #: (``DHTRing.lookup_many_async``) and probes to the same responsible
+    #: peer share one ``ProbeBatch`` message, also across concurrent
+    #: queries of one origin.  Off, the engine sends the paper's
+    #: per-probe traffic: one one-key lookup round and one ``ProbeKey``
+    #: per lattice node, never merged.  Resolved owners, probe outcomes
+    #: and ranking are identical either way; only message counts (and
+    #: their header bytes) and latency differ.  A swept policy (E13
+    #: compares the two wire formats), so it stays.
+    batch_lookups: bool = True
 
     #: Stop lattice exploration early once the BM25 score ceiling of the
     #: still-unprobed keys cannot lift any document into the current
@@ -147,28 +143,17 @@ class AlvisConfig:
     topk_early_stop: bool = False
 
     # ------------------------------------------------------------------
-    # Async query runtime (event-kernel execution of the L3/L4 path)
+    # Query engine dispatch (event-kernel execution of the L3/L4 path,
+    # repro.core.runtime)
     # ------------------------------------------------------------------
 
-    #: Execute queries as processes on the discrete-event kernel
-    #: (:mod:`repro.core.runtime`): every ``LookupHop``/``ProbeBatch``
-    #: travels through :meth:`SimTransport.request_async`, so concurrent
-    #: queries genuinely interleave in virtual time and per-query
-    #: *latency* is measured from the clock (``QueryTrace.latency``)
-    #: instead of estimated (``rtt_estimate``).  The async path always
-    #: runs frontier-batched (it implies the ``batch_lookups`` wire
-    #: format); a sequence of non-overlapping queries issues
-    #: byte-for-byte the traffic of the synchronous batched path.  Off
-    #: by default: the synchronous path remains the compatibility mode.
-    async_queries: bool = False
-
     #: Virtual seconds the per-origin dispatch queue waits before
-    #: flushing accumulated lookups/probes, coalescing same-destination
-    #: traffic across *concurrent queries* (server-side cross-query
-    #: batching).  0 still coalesces requests issued at the same virtual
-    #: instant; larger windows trade per-probe latency for fewer,
-    #: larger messages under load.  Only meaningful with
-    #: ``async_queries``.
+    #: flushing accumulated lookups/probes.  Under ``batch_lookups`` the
+    #: flush coalesces same-destination traffic across *concurrent
+    #: queries* (server-side cross-query batching): 0 still coalesces
+    #: requests issued at the same virtual instant; larger windows trade
+    #: per-probe latency for fewer, larger messages under load.  Under
+    #: the per-probe policy nothing merges and the window only delays.
     dispatch_window: float = 0.0
 
     #: Pipeline lattice levels: launch level N+1's DHT lookups while
@@ -176,7 +161,6 @@ class AlvisConfig:
     #: by roughly one lookup round per level, at the cost of
     #: *speculative* lookups for keys a level-N result later excludes
     #: (top-k results are unaffected; only routing traffic can grow).
-    #: Only meaningful with ``async_queries``.
     pipeline_levels: bool = False
 
     #: Timeout (virtual seconds) for async requests; 0 disables.  A
@@ -197,9 +181,10 @@ class AlvisConfig:
     #: queues at the dispatcher and drains as the window opens; overflow
     #: drops are retransmitted through the window, and a window's worth
     #: of pending work triggers an early dispatch flush (size-triggered,
-    #: not only after ``dispatch_window``).  Only meaningful with
-    #: ``async_queries``; off by default so the async path's traffic is
-    #: byte-identical to the unthrottled runtime.
+    #: not only after ``dispatch_window``).  Each lookup round and each
+    #: probe message is one window unit (under the per-probe policy,
+    #: every one-key lookup and every ``ProbeKey``).  Off by default so
+    #: query traffic is byte-identical to the unthrottled engine.
     congestion_control: bool = False
 
     #: AIMD initial window (outstanding dispatcher sends) per origin.
@@ -208,7 +193,7 @@ class AlvisConfig:
     #: AIMD window cap per origin.
     congestion_max_window: float = 64.0
 
-    #: Retransmission budget for a probe batch dropped by a full service
+    #: Retransmission budget for a probe message dropped by a full service
     #: queue; once exhausted the probes resolve as dropped.  0 disables
     #: retransmission entirely.
     congestion_max_retransmits: int = 20

@@ -15,16 +15,19 @@ a key associated with a truncated posting list") is the
 ``prune_on_truncated`` flag; it trades a marginal precision loss for load
 balance (experiments E1 and E6).
 
-The explorer is pure: probing is delegated to a callback, so the same
-algorithm is unit-testable offline and drives real network probes in
-:mod:`repro.core.retrieval`.  Two extensions serve the batched/cached
-query engine (:mod:`repro.core.query_engine`):
+The explorer is pure: :meth:`LatticeExplorer.explore` delegates probing
+to a callback, so the algorithm is unit-testable offline; it is the
+in-memory reference walk.  The query engine (:mod:`repro.core.runtime`)
+walks the network with the same per-level building blocks
+(:meth:`~LatticeExplorer.record_level`,
+:meth:`~LatticeExplorer.remaining_after`,
+:meth:`~LatticeExplorer.prune_remaining`):
 
-* a *level* probe callback (``probe_level``) receives every unexcluded
-  key of one lattice level at once, so the caller can batch the frontier's
-  DHT lookups and probe requests — semantically identical to sequential
-  probing because domination-based exclusions only ever affect strictly
-  smaller keys (later levels);
+* the probe callback (``probe_level``) receives every unexcluded key of
+  one lattice level at once, so a caller can probe the frontier
+  concurrently or batch its DHT lookups and probe requests —
+  semantically identical to sequential probing because domination-based
+  exclusions only ever affect strictly smaller keys (later levels);
 * an early-termination hook (``should_stop``), consulted between levels
   with the keys still to be probed; when it fires, the remaining lattice
   is recorded as :attr:`ProbeStatus.PRUNED` without any network traffic
@@ -43,13 +46,10 @@ from repro.ir.postings import PostingList
 __all__ = ["ProbeStatus", "ProbeRecord", "ExplorationOutcome",
            "LatticeExplorer"]
 
-#: The probe callback: Key -> (found, posting list or None).  A probe
-#: lost to churn may report itself with a third element: (False, None,
-#: True) records the node as :attr:`ProbeStatus.DROPPED`.
-ProbeFn = Callable[[Key], Tuple[bool, Optional[PostingList]]]
-
-#: The batched probe callback: one lattice level's unexcluded keys ->
-#: per-key (found, posting list or None[, dropped]), in the same order.
+#: The probe callback: one lattice level's unexcluded keys -> per-key
+#: (found, posting list or None), in the same order.  A probe lost to
+#: churn may report itself with a third element: (False, None, True)
+#: records the node as :attr:`ProbeStatus.DROPPED`.
 ProbeLevelFn = Callable[[List[Key]],
                         Sequence[Tuple[bool, Optional[PostingList]]]]
 
@@ -146,15 +146,12 @@ class LatticeExplorer:
         self.max_lattice_terms = max_lattice_terms
 
     def explore(self, query_terms: Iterable[str],
-                probe: Optional[ProbeFn] = None,
-                probe_level: Optional[ProbeLevelFn] = None,
+                probe_level: ProbeLevelFn,
                 should_stop: Optional[StopFn] = None
                 ) -> ExplorationOutcome:
         """Explore the lattice of ``query_terms``.
 
-        Exactly one of ``probe`` (per-key, the compatibility path) and
-        ``probe_level`` (per-frontier, the batched path) must be given;
-        both yield identical outcomes for the same underlying index.
+        ``probe_level`` answers each level's unexcluded keys.
         ``should_stop`` is consulted after every level and terminates the
         exploration when it returns True, marking all remaining
         unexcluded keys :attr:`ProbeStatus.PRUNED`.
@@ -162,9 +159,6 @@ class LatticeExplorer:
         Returns the full exploration record, in the deterministic order in
         which nodes were visited (by decreasing size, then term order).
         """
-        if (probe is None) == (probe_level is None):
-            raise ValueError(
-                "exactly one of probe and probe_level is required")
         terms = list(dict.fromkeys(query_terms))[: self.max_lattice_terms]
         if not terms:
             raise ValueError("query has no terms")
@@ -173,13 +167,7 @@ class LatticeExplorer:
         excluded: set = set()
         levels = Key.lattice_levels(terms)
         for depth, level in enumerate(levels):
-            if probe is not None:
-                self._explore_level_sequential(level, probe, outcome,
-                                               excluded)
-            else:
-                assert probe_level is not None
-                self._explore_level_batched(level, probe_level, outcome,
-                                            excluded)
+            self._explore_level(level, probe_level, outcome, excluded)
             if should_stop is None:
                 continue
             remaining = self.remaining_after(levels, depth, excluded)
@@ -189,7 +177,7 @@ class LatticeExplorer:
         return outcome
 
     # ------------------------------------------------------------------
-    # Per-level building blocks (shared with the async runtime)
+    # Per-level building blocks (shared with the query engine)
     # ------------------------------------------------------------------
 
     def record_level(self, level: Sequence[Key],
@@ -201,8 +189,8 @@ class LatticeExplorer:
         :attr:`ProbeStatus.SKIPPED`; present keys are classified through
         the exclusion-updating rules, honoring an optional third
         "dropped" tuple element.  This is the single source of truth for
-        per-level record semantics — the synchronous batched path and
-        the async runtime both go through it.
+        per-level record semantics — the reference walk and the query
+        engine both go through it.
         """
         for key in level:
             if key not in results_by_key:
@@ -263,24 +251,8 @@ class LatticeExplorer:
         outcome.records.append(record)
         return record
 
-    def _explore_level_sequential(self, level: List[Key], probe: ProbeFn,
-                                  outcome: ExplorationOutcome,
-                                  excluded: set) -> None:
-        for key in level:
-            if key in excluded:
-                outcome.records.append(
-                    ProbeRecord(key, ProbeStatus.SKIPPED))
-                continue
-            result = probe(key)
-            found, postings = result[0], result[1]
-            dropped = len(result) > 2 and bool(result[2])
-            self._record_result(key, found, postings, outcome, excluded,
-                                dropped=dropped)
-
-    def _explore_level_batched(self, level: List[Key],
-                               probe_level: ProbeLevelFn,
-                               outcome: ExplorationOutcome,
-                               excluded: set) -> None:
+    def _explore_level(self, level: List[Key], probe_level: ProbeLevelFn,
+                       outcome: ExplorationOutcome, excluded: set) -> None:
         # Exclusions only ever cover *strictly smaller* keys, so results
         # from this level cannot exclude its own siblings — probing the
         # whole frontier at once is equivalent to probing it in order.

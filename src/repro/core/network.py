@@ -121,9 +121,9 @@ class AlvisNetwork:
         self._doc_owner: Dict[int, int] = {}
         self.mode: Optional[str] = None
         self.retrieval = RetrievalComponent(self)
-        #: The async query runtime (event-kernel execution of the L3/L4
-        #: path); active when ``config.async_queries`` is set, but always
-        #: constructed so the monitor can report its counters.
+        #: The query engine: event-kernel execution of the L3/L4 path,
+        #: one query at a time (:meth:`query`) or overlapping
+        #: (:meth:`run_workload`).
         self.runtime = AsyncQueryRuntime(self)
         self._workload_streams = 0
         self._statistics_done = False
@@ -546,10 +546,6 @@ class AlvisNetwork:
         overlap several workloads (scenario timelines) on one
         ``simulator.run()``.
         """
-        if not self.config.async_queries:
-            raise ValueError(
-                "run_queries requires config.async_queries; the "
-                "synchronous path cannot overlap queries")
         stream = self._workload_streams
         self._workload_streams += 1
         arrival_rng = make_rng(self.seed, "workload", stream, "arrivals")
@@ -569,10 +565,9 @@ class AlvisNetwork:
                      refine: Optional[bool] = None) -> List[QueryJob]:
         """Open-workload driver: run a declarative :class:`Workload`.
 
-        Requires ``config.async_queries``.  Submits every query of the
-        workload (arrival process + origin policy, see
-        :mod:`repro.core.workload`) and drives the simulator until all
-        of them completed.  Returns the jobs in arrival order — each
+        Submits every query of the workload (arrival process + origin
+        policy, see :mod:`repro.core.workload`) and drives the simulator
+        until all of them completed.  Returns the jobs in arrival order — each
         carries its results and a trace whose ``latency`` is the
         clock-measured response time under the overlapping load.
         """

@@ -1,25 +1,59 @@
-"""The async query runtime: event-kernel execution of the L3/L4 path.
+"""The query engine: event-kernel execution of the L3/L4 path.
 
-The synchronous :class:`~repro.core.query_engine.QueryEngine` runs each
-query to completion before the next one starts — queries never overlap
-in virtual time, so the engine can neither pipeline lattice levels nor
-coalesce traffic across concurrent queries, and "latency under load" is
-unmeasurable.  This module is the refactor from *one query at a time*
-to *a network serving traffic*:
+Every query — a single ``AlvisNetwork.query`` call as much as an open
+workload — runs here, as a :class:`~repro.sim.procs.Proc` on the event
+kernel.  Its ``LookupHop`` and probe messages travel through
+:meth:`SimTransport.request_async`, so concurrent queries genuinely
+interleave in virtual time and per-query **latency** is measured from
+the virtual clock (``QueryTrace.latency``), not estimated.
 
-* every query is a :class:`~repro.sim.procs.Proc` on the event kernel;
-  its ``LookupHop``/``ProbeBatch`` messages travel through
-  :meth:`SimTransport.request_async`, so lookups and probes from different
-  queries genuinely interleave and per-query **latency** is measured
-  from the virtual clock (``QueryTrace.latency``), not estimated;
+The walk is the paper's (Figure 1, :mod:`repro.core.lattice`): probe
+each unexcluded key of one lattice level, record the outcomes, let
+untruncated lists exclude what they dominate, descend.  A level's
+requests all go out concurrently — domination-based exclusions only
+ever cover strictly smaller keys, so a level's results cannot exclude
+its own siblings.  How those requests hit the wire is the
+``batch_lookups`` policy:
+
+* **frontier batching** (``batch_lookups``, the default) — all DHT
+  lookups of one level travel in one shared routed round
+  (:meth:`~repro.dht.ring.DHTRing.lookup_many_async` amortizes hops
+  across the batch), and probes bound for the same responsible peer
+  share one ``ProbeBatch`` message;
+* **per-probe** (``batch_lookups=False``, the paper's cold traffic) —
+  every missed key gets its own one-key lookup round and its own
+  ``ProbeKey``/``ProbeReply`` exchange, never merged with another key
+  or another query, whether in the dispatch flush, the congestion
+  backlog or a pipelined prefetch.
+
+On top of the walk sit the engine's policies:
+
+* **probe-result caching** (``cache_bytes``) — a byte-budgeted LRU cache
+  per querying peer (:class:`repro.core.cache.LRUByteCache`)
+  short-circuits repeated probes together with their lookups.  Entries
+  are invalidated wholesale when the ring membership or the global index
+  changes, and optionally expired after a logical TTL.  Inactive under
+  QDI, whose decentralized popularity monitoring requires the
+  responsible peers to observe every probe (see
+  :meth:`AsyncQueryRuntime._origin_cache`);
+
+* **top-k early termination** (``topk_early_stop``) — between lattice
+  levels, exploration stops once the BM25 score ceiling of the
+  still-unprobed keys cannot lift any document into the current top-k
+  (threshold termination in the spirit of Akbarinia et al.'s top-k query
+  processing).  The ceiling per term is the BM25 weight limit
+  ``idf * (k1 + 1)`` computed from the best available
+  document-frequency lower bound (cached global dfs plus the dfs learned
+  from already-retrieved keys), so unknown terms keep the bound
+  conservative;
 
 * a per-origin **dispatch queue** (:class:`_OriginDispatcher`)
   accumulates the lookups and probes issued within one
-  ``dispatch_window`` and flushes them as shared rounds: lookups from
-  concurrent queries route in one ``lookup_many_async`` traversal, and
-  probes bound for the same responsible peer — possibly from different
-  queries, deduplicated — share one ``ProbeBatch`` message (server-side
-  cross-query batching);
+  ``dispatch_window`` and flushes them together.  Under frontier
+  batching, lookups from concurrent queries route in one
+  ``lookup_many_async`` traversal, and probes bound for the same
+  responsible peer — possibly from different queries, deduplicated —
+  share one ``ProbeBatch`` message (server-side cross-query batching);
 
 * with ``pipeline_levels``, level N+1's DHT lookups launch while level
   N's probe replies are still in flight — speculative routing traffic
@@ -36,42 +70,45 @@ to *a network serving traffic*:
 * with ``congestion_control``, a per-origin AIMD
   :class:`~repro.dht.congestion.CongestionWindow` sits between the
   dispatch queue and the transport: it bounds how many lookup rounds /
-  probe batches may be outstanding, queues the excess, retransmits
-  probe batches a full service queue rejected, and flushes the dispatch
+  probe messages may be outstanding, queues the excess, retransmits
+  probes a full service queue rejected, and flushes the dispatch
   queue early once a window's worth of work is pending — closed-loop
   flow control on the retrieval path (the NCA'06 controller E8
   validates in isolation).
 
-For one query at a time — a single query or a sequence of
-non-overlapping ones — the runtime issues byte-for-byte the traffic of
-the synchronous frontier-batched path (asserted by the cross-mode
-equality tests): both route every lookup through the same walk and
-neither reads the publish-side owner memo, so concurrency changes
-timing, never traffic semantics.  When
-messages are shared across queries, each message's wire bytes are
-*pro-rated* across the participating queries' traces (integer shares
-differing by at most one byte), so summed per-query bytes reconcile
-exactly with the transport's global counters; logical message *counts*
-are still charged in full to every participant, so those can exceed
-wire counts.  One caveat: a request that *times out* may still be
-serviced later, and its late reply — discarded by the sender — is
-wire-accounted but attributable to no trace, so exact reconciliation
-holds only for timeout-free runs (``request_timeout = 0``, the
-default).
+Byte attribution.  A trace is charged for the messages its query sends
+and receives: lookup hops, probes, QDI popularity feedback and
+refinement.  When messages are shared across queries, each message's
+wire bytes are *pro-rated* across the participating queries' traces
+(integer shares differing by at most one byte); logical message
+*counts* are still charged in full to every participant, so those can
+exceed wire counts.  Summed per-query bytes therefore reconcile exactly
+with the transport's counters of those kinds, with two exceptions that
+no trace is charged for: work a query's messages *trigger* at their
+receivers — under QDI, feedback that activates on-demand indexing sends
+``ContributorsGet``/``ContributorsReply``, ``HarvestKey``/
+``HarvestReply`` and the ``LookupHop`` messages that route them — and
+the late reply of a request that *timed out* (discarded by the sender,
+but wire-accounted), so exact reconciliation holds only for
+timeout-free runs (``request_timeout = 0``, the default) outside QDI.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import (Deque, Dict, List, Optional, Sequence, Tuple,
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
 
+from repro.core.cache import LRUByteCache
 from repro.core.keys import Key
-from repro.core.lattice import ExplorationOutcome
-from repro.core.ranking import RankedDocument, merge_and_rank
+from repro.core.lattice import ExplorationOutcome, LatticeExplorer
+from repro.core.ranking import (RankedDocument, merge_and_rank,
+                                rank_with_margin)
 from repro.core.retrieval import QueryTrace
 from repro.dht.congestion import CongestionWindow
+from repro.ir.postings import PostingList
+from repro.ir.scoring import BM25Parameters, bm25_weight_ceiling
 from repro.net import protocol
 from repro.net.message import Message
 from repro.net.transport import DeliveryError
@@ -86,6 +123,9 @@ __all__ = ["QueryJob", "AsyncQueryRuntime"]
 #: A probe outcome as the runtime moves it around: (found, postings,
 #: dropped).
 ProbeOutcome = Tuple[bool, Optional[object], bool]
+
+#: Fixed per-entry bookkeeping charged against the cache byte budget.
+_CACHE_ENTRY_OVERHEAD = 16
 
 
 @dataclass
@@ -144,46 +184,72 @@ class _Prefetch:
 
 @dataclass
 class _PendingLookup:
-    """One shared lookup traversal awaiting a congestion-window slot.
+    """One lookup traversal awaiting a congestion-window slot.
 
-    Backlogged traversals merge: their waiters route in one traversal
-    once a slot opens, so backpressure *increases* sharing."""
+    Under frontier batching, backlogged traversals merge: their waiters
+    route in one traversal once a slot opens, so backpressure
+    *increases* sharing."""
 
     waiters: List[_LookupWaiter]
 
 
 @dataclass
 class _PendingProbe:
-    """One owner's probe batch awaiting a congestion-window slot.
+    """One owner's probe message awaiting a congestion-window slot.
 
-    Backlogged batches for the same owner merge (keys deduplicated,
-    participants concatenated): the longer the window holds traffic
-    back, the bigger — and fewer — the messages, which is the adaptive
-    batching a congested receiver needs.  ``sent_bytes`` accumulates
-    the wire cost of earlier (dropped) transmissions of this work so
-    the traces reconcile with the transport counters."""
+    A ``ProbeBatch`` by default.  Backlogged batches for the same owner
+    merge (keys deduplicated, participants concatenated): the longer the
+    window holds traffic back, the bigger — and fewer — the messages,
+    which is the adaptive batching a congested receiver needs.  A
+    ``single`` probe is the per-probe policy's one-key ``ProbeKey`` and
+    never merges.  ``sent_bytes`` accumulates the wire cost of earlier
+    (dropped) transmissions of this work so the traces reconcile with
+    the transport counters."""
 
     owner: int
     keys: List[Key]
     participants: List[_ProbeWaiter]
+    single: bool = False
     attempts: int = 0
     sent_bytes: int = 0
+
+    def request(self) -> Tuple[str, Dict]:
+        """The wire kind and payload of this probe."""
+        if self.single:
+            return protocol.PROBE_KEY, {"key_terms": list(self.keys[0].terms)}
+        return protocol.PROBE_BATCH, {"keys": [list(key.terms)
+                                               for key in self.keys]}
+
+    def items(self, reply: Optional[Dict]) -> List[Dict]:
+        """Per-key ``{"found", "postings"}`` items of a reply payload."""
+        if reply is None:
+            return [{"found": False, "postings": None} for _key in self.keys]
+        return [reply] if self.single else reply["results"]
+
+    def kinds(self) -> Tuple[str, str]:
+        """The request and reply kinds the traces are charged under."""
+        if self.single:
+            return protocol.PROBE_KEY, protocol.PROBE_REPLY
+        return protocol.PROBE_BATCH, protocol.PROBE_BATCH_REPLY
 
 
 class _OriginDispatcher:
     """Per-origin dispatch queue coalescing traffic across queries.
 
     Lookups and probes enqueued within one ``dispatch_window`` flush
-    together: all pending lookups share one routed traversal, and all
-    pending probes to the same responsible peer share one ``ProbeBatch``
-    (duplicate keys from different queries are sent once and the reply
-    fanned back out).  With a single active query this degenerates to
-    exactly the synchronous engine's per-level batching.
+    together.  Under frontier batching all pending lookups share one
+    routed traversal, and all pending probes to the same responsible
+    peer share one ``ProbeBatch`` (duplicate keys from different queries
+    are sent once and the reply fanned back out); with a single active
+    query this is exactly one lookup round and one batch per owner per
+    lattice level.  Under the per-probe policy (``batch_lookups`` off)
+    nothing merges: each one-key ask is its own traversal or
+    ``ProbeKey``.
 
     With ``congestion_control`` an AIMD :class:`CongestionWindow` gates
-    the flushed work: each lookup traversal and each probe batch is one
-    outstanding unit; excess sends queue in ``_backlog`` and drain as
-    acks open the window.  Queue-overflow drops halve the window (at
+    the flushed work: each lookup traversal and each probe message is
+    one outstanding unit; excess sends queue in ``_backlog`` and drain
+    as acks open the window.  Queue-overflow drops halve the window (at
     most once per RTT), are retransmitted — window-paced — and once a
     window's worth of work is pending the flush fires early instead of
     waiting out the full ``dispatch_window``.
@@ -214,12 +280,19 @@ class _OriginDispatcher:
             self.cwnd = CongestionWindow(
                 initial=config.congestion_initial_window,
                 max_window=config.congestion_max_window,
-                rtt_estimate=config.congestion_retransmit_timeout)
+                initial_rtt=config.congestion_retransmit_timeout)
         #: Owners the pending probes address (incremental mirror of the
-        #: per-owner batches a flush would send, for _pending_units).
+        #: per-owner batches a flush would send, for _pending_units), and
+        #: the pending remote probes (the per-probe policy's messages).
         self._pending_probe_owners: set = set()
+        self._pending_remote_probes = 0
         self._backlog: Deque[Union[_PendingLookup, _PendingProbe]] = \
             collections.deque()
+
+    @property
+    def batched(self) -> bool:
+        """The ``batch_lookups`` policy: merge asks, or send each alone."""
+        return self.runtime.network.config.batch_lookups
 
     @property
     def backlog(self) -> int:
@@ -244,14 +317,19 @@ class _OriginDispatcher:
         for _key, owner in waiter.assignments:
             if owner != self.origin:
                 self._pending_probe_owners.add(owner)
+                self._pending_remote_probes += 1
         self._schedule_flush()
         return waiter.future
 
     # ------------------------------------------------------------------
 
     def _pending_units(self) -> int:
-        """Dispatcher sends the pending work would flush into (one
-        shared lookup traversal plus one probe batch per owner)."""
+        """Dispatcher sends the pending work would flush into: one
+        shared lookup traversal plus one probe batch per owner, or under
+        the per-probe policy one traversal per lookup ask plus one
+        ``ProbeKey`` per remote probe."""
+        if not self.batched:
+            return len(self._pending_lookups) + self._pending_remote_probes
         return ((1 if self._pending_lookups else 0)
                 + len(self._pending_probe_owners))
 
@@ -296,6 +374,7 @@ class _OriginDispatcher:
         lookups, self._pending_lookups = self._pending_lookups, []
         probes, self._pending_probes = self._pending_probes, []
         self._pending_probe_owners.clear()
+        self._pending_remote_probes = 0
         if lookups:
             self._flush_lookups(lookups)
         if probes:
@@ -324,27 +403,28 @@ class _OriginDispatcher:
         """Queue ``send``, merging with backlogged work where possible:
         probe batches for the same owner fuse (keys deduplicated), and
         lookup traversals fuse into one shared round — so backpressure
-        grows batches instead of queue length."""
-        if isinstance(send, _PendingProbe):
+        grows batches instead of queue length.  Per-probe sends never
+        merge."""
+        if self.batched:
             for entry in self._backlog:
-                if isinstance(entry, _PendingProbe) \
-                        and entry.owner == send.owner:
-                    marks = set(entry.keys)
-                    for key in send.keys:
-                        if key in marks:
-                            self.coalesced_keys += 1
-                        else:
-                            marks.add(key)
-                            entry.keys.append(key)
-                    entry.participants.extend(send.participants)
-                    entry.attempts = max(entry.attempts, send.attempts)
-                    entry.sent_bytes += send.sent_bytes
-                    return
-        else:
-            for entry in self._backlog:
-                if isinstance(entry, _PendingLookup):
+                if type(entry) is not type(send):
+                    continue
+                if isinstance(send, _PendingLookup):
                     entry.waiters.extend(send.waiters)
                     return
+                if entry.owner != send.owner:
+                    continue
+                marks = set(entry.keys)
+                for key in send.keys:
+                    if key in marks:
+                        self.coalesced_keys += 1
+                    else:
+                        marks.add(key)
+                        entry.keys.append(key)
+                entry.participants.extend(send.participants)
+                entry.attempts = max(entry.attempts, send.attempts)
+                entry.sent_bytes += send.sent_bytes
+                return
         self._backlog.append(send)
 
     def _drain_backlog(self) -> None:
@@ -369,7 +449,18 @@ class _OriginDispatcher:
                 waiter.future.resolve(_LookupGrant(owners=owners,
                                                    messages=0, bytes=0))
             return
-        self._submit(_PendingLookup(waiters=waiters))
+        if self.batched:
+            self._submit(_PendingLookup(waiters=waiters))
+            return
+        # The per-probe policy: every key routes alone; the ask's grant
+        # sums its keys' traversals.
+        for waiter in waiters:
+            parts = [_LookupWaiter([key_id]) for key_id in waiter.key_ids]
+            all_of([part.future for part in parts]).add_done_callback(
+                lambda done, waiter=waiter:
+                    waiter.future.resolve(_merge_grants(done.value)))
+            for part in parts:
+                self._submit(_PendingLookup(waiters=[part]))
 
     def _launch_lookup(self, send: _PendingLookup) -> None:
         network = self.runtime.network
@@ -435,8 +526,17 @@ class _OriginDispatcher:
     # -- probes ---------------------------------------------------------
 
     def _flush_probes(self, waiters: List[_ProbeWaiter]) -> None:
-        network = self.runtime.network
-        config = network.config
+        for send in (self._owner_batches(waiters) if self.batched
+                     else self._single_probes(waiters)):
+            if send.owner == self.origin:
+                self._probe_locally(send)
+            else:
+                self._submit(send)
+
+    def _owner_batches(self, waiters: List[_ProbeWaiter]
+                       ) -> List[_PendingProbe]:
+        """One ``ProbeBatch`` per owner across ``waiters``, duplicate
+        keys sent once."""
         by_owner: Dict[int, List[Key]] = {}
         seen: Dict[int, set] = {}
         owner_waiters: Dict[int, List[_ProbeWaiter]] = {}
@@ -455,39 +555,41 @@ class _OriginDispatcher:
             waiter.remaining = len(waiter_owners)
             for owner in waiter_owners:
                 owner_waiters.setdefault(owner, []).append(waiter)
-        for owner, keys in by_owner.items():
-            participants = owner_waiters[owner]
-            if owner == self.origin:
-                # Self-addressed probes short-circuit in memory, exactly
-                # like the synchronous path: no bytes, no latency, no
-                # congestion window.  A crashed origin cannot answer
-                # even itself.
-                payload = {"keys": [list(key.terms) for key in keys]}
-                try:
-                    reply, _rtt = network.send(self.origin, owner,
-                                               protocol.PROBE_BATCH,
-                                               payload)
-                except DeliveryError:
-                    self._deliver(owner, keys, participants, None,
-                                  dropped=True, request_bytes=0,
-                                  reply_bytes=0)
-                    continue
-                items = (reply["results"] if reply is not None else
-                         [{"found": False, "postings": None}
-                          for _key in keys])
-                self._deliver(owner, keys, participants, items,
-                              dropped=False, request_bytes=0,
-                              reply_bytes=0)
-                continue
-            self._submit(_PendingProbe(owner=owner, keys=keys,
-                                       participants=participants))
+        return [_PendingProbe(owner=owner, keys=keys,
+                              participants=owner_waiters[owner])
+                for owner, keys in by_owner.items()]
+
+    @staticmethod
+    def _single_probes(waiters: List[_ProbeWaiter]) -> List[_PendingProbe]:
+        """The per-probe policy: one ``ProbeKey`` per asked key."""
+        sends = []
+        for waiter in waiters:
+            waiter.remaining = len(waiter.assignments)
+            sends.extend(_PendingProbe(owner=owner, keys=[key],
+                                       participants=[waiter], single=True)
+                         for key, owner in waiter.assignments)
+        return sends
+
+    def _probe_locally(self, send: _PendingProbe) -> None:
+        """Self-addressed probes short-circuit in memory: no bytes, no
+        latency, no congestion window.  A crashed origin cannot answer
+        even itself."""
+        kind, payload = send.request()
+        try:
+            reply, _rtt = self.runtime.network.send(self.origin, send.owner,
+                                                    kind, payload)
+        except DeliveryError:
+            self._deliver(send, None, request_bytes=0, reply_bytes=0)
+            return
+        self._deliver(send, send.items(reply), request_bytes=0,
+                      reply_bytes=0)
 
     def _transmit_probe(self, send: _PendingProbe) -> None:
         network = self.runtime.network
         config = network.config
-        payload = {"keys": [list(key.terms) for key in send.keys]}
-        message = Message(src=self.origin, dst=send.owner,
-                          kind=protocol.PROBE_BATCH, payload=payload)
+        kind, payload = send.request()
+        message = Message(src=self.origin, dst=send.owner, kind=kind,
+                          payload=payload)
         # Every attempt hits the wire: the cumulative request bytes
         # (original send plus retransmissions) are what the traces must
         # reconcile against the transport counters.
@@ -504,13 +606,12 @@ class _OriginDispatcher:
         if outcome.ok and outcome.reply is not None:
             if self.cwnd is not None:
                 self.cwnd.on_ack(now, rtt_sample=outcome.rtt)
-            self._deliver(send.owner, send.keys, send.participants,
-                          outcome.reply.payload["results"], dropped=False,
+            self._deliver(send, send.items(outcome.reply.payload),
                           request_bytes=send.sent_bytes,
                           reply_bytes=outcome.reply_bytes)
         elif (outcome.status == "overflow"
                 and send.attempts < config.congestion_max_retransmits):
-            # The owner's service queue rejected the batch: congestion,
+            # The owner's service queue rejected the probe: congestion,
             # not churn — retransmit.  With the AIMD window the drop
             # halves the window (at most once per RTT) and the retry
             # re-enters the window-paced queue after one smoothed RTT —
@@ -537,42 +638,74 @@ class _OriginDispatcher:
             # surfaced as dropped probes.
             if self.cwnd is not None:
                 self.cwnd.on_drop(now)
-            self._deliver(send.owner, send.keys, send.participants, None,
-                          dropped=True, request_bytes=send.sent_bytes,
+            self._deliver(send, None, request_bytes=send.sent_bytes,
                           reply_bytes=0)
         self._drain_backlog()
 
-    def _deliver(self, owner: int, keys: List[Key],
-                 participants: List[_ProbeWaiter],
-                 items: Optional[List[Dict]], dropped: bool,
+    def _deliver(self, send: _PendingProbe, items: Optional[List[Dict]],
                  request_bytes: int, reply_bytes: int) -> None:
+        """Fan one probe message's outcome out to its participants;
+        ``items`` is None when the probe was dropped."""
         results: Dict[Key, ProbeOutcome] = {}
-        if dropped:
-            for key in keys:
+        if items is None:
+            for key in send.keys:
                 results[key] = (False, None, True)
         else:
-            assert items is not None
-            for key, item in zip(keys, items):
+            for key, item in zip(send.keys, items):
                 found = bool(item["found"])
                 postings = item["postings"] if found else None
                 results[key] = (found, postings, False)
         # Shared batches pro-rate their wire bytes across participants
         # (summed per-query bytes == transport totals); the *count* is
         # charged to everyone who rode in the batch.
+        participants = send.participants
+        request_kind, reply_kind = send.kinds()
         request_shares = _split_evenly(request_bytes, len(participants))
         reply_shares = _split_evenly(reply_bytes, len(participants))
         for index, waiter in enumerate(participants):
             for key, key_owner in waiter.assignments:
-                if key_owner == owner:
+                if key_owner == send.owner and key in results:
                     waiter.results[key] = results[key]
             waiter.requests += 1
-            _add_bytes(waiter.bytes_by_kind, protocol.PROBE_BATCH,
+            _add_bytes(waiter.bytes_by_kind, request_kind,
                        request_shares[index])
-            _add_bytes(waiter.bytes_by_kind, protocol.PROBE_BATCH_REPLY,
+            _add_bytes(waiter.bytes_by_kind, reply_kind,
                        reply_shares[index])
             waiter.remaining -= 1
             if waiter.remaining == 0:
                 waiter.future.resolve(waiter)
+
+
+def _cache_get(cache: Optional[LRUByteCache], trace: QueryTrace,
+               key: Key) -> Optional[Tuple[bool, Optional[PostingList]]]:
+    """Consult the origin's probe cache, accounting hit/miss."""
+    if cache is None:
+        return None
+    hit, value = cache.get(key)
+    if hit:
+        trace.cache_hits += 1
+        return value
+    trace.cache_misses += 1
+    return None
+
+
+def _cache_put(cache: Optional[LRUByteCache], key: Key, found: bool,
+               postings: Optional[PostingList]) -> None:
+    """Store one probe outcome with its byte-accounted size."""
+    if cache is None:
+        return
+    size = (key.wire_size() + _CACHE_ENTRY_OVERHEAD
+            + (postings.wire_size() if postings is not None else 1))
+    cache.put(key, (found, postings), size)
+
+
+def _merge_grants(grants: List[_LookupGrant]) -> _LookupGrant:
+    owners: Dict[int, int] = {}
+    for grant in grants:
+        owners.update(grant.owners)
+    return _LookupGrant(owners=owners,
+                        messages=sum(grant.messages for grant in grants),
+                        bytes=sum(grant.bytes for grant in grants))
 
 
 def _add_bytes(bucket: Dict[str, int], kind: str, nbytes: int) -> None:
@@ -594,6 +727,8 @@ class AsyncQueryRuntime:
 
     def __init__(self, network: "AlvisNetwork"):
         self.network = network
+        self.explorer = LatticeExplorer(
+            prune_on_truncated=network.config.prune_on_truncated)
         self.active = 0
         self.peak_active = 0
         self.completed = 0
@@ -658,8 +793,9 @@ class AsyncQueryRuntime:
                refine: Optional[bool] = None) -> QueryJob:
         """Start one query as a process; returns its job immediately.
 
-        Drive the simulator (``network.simulator.run()`` or
-        :meth:`AlvisNetwork.run_queries`) to make it complete.
+        Drive the simulator (``network.simulator.run()``, as
+        :meth:`AlvisNetwork.query` does, or an open workload through
+        :meth:`AlvisNetwork.run_workload`) to make it complete.
         """
         network = self.network
         config = network.config
@@ -696,11 +832,14 @@ class AsyncQueryRuntime:
             self._send_feedback(job, outcome, owners)
         results = merge_and_rank(outcome.retrieved, trace.query,
                                  job.pool_k)
-        # Lazy cleanup, exactly like the synchronous path: drop results
-        # whose holder departed.
+        # Lazy cleanup: drop references to documents whose holder is gone
+        # (crash) or that were unpublished — stale postings for them may
+        # survive in combination keys until their lists refresh.
         results = [document for document in results
                    if network.doc_owner(document.doc_id) is not None]
         if job.refine and results:
+            # Refinement re-ranks a larger first-step candidate pool
+            # with exact scores, then cuts back to result_k.
             results = yield from self._refine(job, results)
             results = results[: network.config.result_k]
             trace.refined = True
@@ -716,17 +855,19 @@ class AsyncQueryRuntime:
         return job
 
     def _explore(self, job: QueryJob):
-        """Async lattice exploration (mirrors the batched sync explorer).
+        """Lattice exploration over the network, one level at a time.
 
         Record order, exclusion handling and the early-termination test
         replicate :meth:`LatticeExplorer.explore` with a level-probe
         callback, so for identical index state the outcome is identical
-        to the synchronous engine's.
+        to the in-memory reference walk.  Returns the outcome plus the
+        resolved owner of every key that was actually looked up (cache
+        hits skip resolution — and, for QDI, the corresponding feedback,
+        which would be redundant re-sends anyway).
         """
         network = self.network
         config = network.config
-        engine = network.retrieval.engine
-        explorer = engine.explorer
+        explorer = self.explorer
         trace = job.trace
         origin = job.origin
         terms = list(dict.fromkeys(job.terms))[: explorer.max_lattice_terms]
@@ -735,9 +876,9 @@ class AsyncQueryRuntime:
         excluded: set = set()
         owners: Dict[Key, int] = {}
         levels = Key.lattice_levels(terms)
-        should_stop = (engine._make_stop_test(origin, query, job.pool_k)
+        should_stop = (self._make_stop_test(origin, query, job.pool_k)
                        if config.topk_early_stop else None)
-        cache = engine._origin_cache(origin)
+        cache = self._origin_cache(origin)
         prefetch: Optional[_Prefetch] = None
         for depth, level in enumerate(levels):
             current_prefetch, prefetch = prefetch, None
@@ -745,7 +886,7 @@ class AsyncQueryRuntime:
             results: Dict[Key, ProbeOutcome] = {}
             misses: List[Key] = []
             for key in frontier:
-                cached = engine.cache_get(cache, trace, key)
+                cached = _cache_get(cache, trace, key)
                 if cached is not None:
                     results[key] = (cached[0], cached[1], False)
                 else:
@@ -788,10 +929,10 @@ class AsyncQueryRuntime:
                     found, postings, dropped = waiter.results[key]
                     results[key] = (found, postings, dropped)
                     if not dropped:
-                        engine.cache_put(cache, key, found, postings)
+                        _cache_put(cache, key, found, postings)
             # Classification, pruning and the stop test go through the
-            # explorer's shared building blocks, so the async path can
-            # never diverge from the synchronous record semantics.
+            # explorer's shared building blocks, so the network walk can
+            # never diverge from the reference record semantics.
             explorer.record_level(level, results, outcome, excluded)
             if should_stop is None:
                 continue
@@ -805,8 +946,8 @@ class AsyncQueryRuntime:
     def _resolve_owners(self, job: QueryJob, key_ids: List[int]):
         """Resolve responsible peers through the dispatch queue.
 
-        The origin's key->owner cache applies exactly as in the
-        synchronous :meth:`AlvisNetwork.lookup_owners` (both go through
+        The origin's key->owner cache applies exactly as in
+        :meth:`AlvisNetwork.lookup_owners` (both go through
         :meth:`AlvisNetwork.cached_owners`); returns ``{key_id: owner
         peer}`` and charges the trace for the hop messages that carried
         this query's keys.
@@ -831,6 +972,78 @@ class AsyncQueryRuntime:
             name=f"prefetch@{job.origin}")
         return _Prefetch(epoch=self.network.ring.membership_epoch,
                          proc=proc)
+
+    # ------------------------------------------------------------------
+    # Probe cache and early termination
+    # ------------------------------------------------------------------
+
+    def _origin_cache(self, origin: int) -> Optional[LRUByteCache]:
+        """The origin peer's probe cache, freshened for this query.
+
+        Disabled under QDI: on-demand indexing is driven by owner-side
+        popularity monitoring, which must see every probe — absorbing
+        probes at the querying peer would starve hot keys' counters
+        until maintenance evicts them, only for the next cold query to
+        re-activate them (a permanent evict/harvest oscillation).
+        """
+        network = self.network
+        if network.config.cache_bytes <= 0 or network.mode == "qdi":
+            return None
+        cache = network.peer(origin).probe_cache
+        cache.ensure_version((network.ring.membership_epoch,
+                              network.index_version))
+        cache.tick()
+        return cache
+
+    def _make_stop_test(self, origin: int, query: Key, rank_k: int
+                        ) -> Optional[Callable[[ExplorationOutcome,
+                                                List[Key]], bool]]:
+        """Build the top-k threshold termination test.
+
+        ``rank_k`` is the candidate-pool size the query will rank
+        (``result_k``, enlarged when refinement re-scores a bigger
+        pool).  Requires the origin's cached collection totals (for
+        idf); without them no bound is computable and exploration never
+        stops early.
+        """
+        stats_cache = self.network.peer(origin).stats_cache
+        if stats_cache.totals is None:
+            return None
+        n = max(stats_cache.totals.num_documents, 1)
+        # The peers' publish-time scoring runs on the default BM25
+        # parameters (no knob plumbs custom ones through the network
+        # yet), so the ceiling uses the same defaults.
+        params = BM25Parameters()
+
+        def term_ceiling(df_lower_bound: int) -> float:
+            return bm25_weight_ceiling(df_lower_bound, n, params)
+
+        def should_stop(outcome: ExplorationOutcome,
+                        remaining: List[Key]) -> bool:
+            _top, kth, runner_up = rank_with_margin(outcome.retrieved,
+                                                    query, rank_k)
+            if kth <= 0.0:
+                return False          # top-k not even full yet
+            df_bounds: Dict[str, int] = {}
+            for key, postings in outcome.retrieved.items():
+                # A conjunction's result-set size lower-bounds each of
+                # its terms' dfs — free df knowledge from this query.
+                for term in key.terms:
+                    df_bounds[term] = max(df_bounds.get(term, 0),
+                                          postings.global_df)
+            remaining_terms = set()
+            for key in remaining:
+                remaining_terms.update(key.terms)
+            # Any document (seen outside the top-k, or never seen) can
+            # gain at most one ceiling per remaining term: disjoint
+            # covers touch each term once.
+            potential = sum(
+                term_ceiling(max(df_bounds.get(term, 0),
+                                 stats_cache.df(term)))
+                for term in remaining_terms)
+            return runner_up + potential < kth
+
+        return should_stop
 
     # ------------------------------------------------------------------
     # Post-exploration steps

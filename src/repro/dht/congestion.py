@@ -58,7 +58,7 @@ class CongestionWindow:
     once per RTT: a burst of drops from one overflowing queue is *one*
     congestion event, not ``n`` independent ones.  The RTT used for the
     once-per-RTT guard is a smoothed estimate fed by ack samples (seeded
-    with ``rtt_estimate`` so the guard works before the first ack).
+    with ``initial_rtt`` so the guard works before the first ack).
 
     The window never goes below ``min_window``, so a gated sender always
     makes progress.  ``trajectory`` records ``(time, window)`` after
@@ -71,7 +71,7 @@ class CongestionWindow:
                  "trajectory_limit", "_last_decrease")
 
     def __init__(self, initial: float = 2.0, max_window: float = 256.0,
-                 min_window: float = 1.0, rtt_estimate: float = 0.0,
+                 min_window: float = 1.0, initial_rtt: float = 0.0,
                  trajectory_limit: int = 2048):
         if initial < min_window:
             raise ValueError(
@@ -86,7 +86,7 @@ class CongestionWindow:
         self.acks = 0
         self.drops = 0
         self.decreases = 0            #: congestion events (not raw drops)
-        self.srtt = float(rtt_estimate)
+        self.srtt = float(initial_rtt)
         self.trajectory: Deque = collections.deque(maxlen=trajectory_limit)
         self.trajectory_limit = trajectory_limit
         self._last_decrease: Optional[float] = None
@@ -276,7 +276,7 @@ class AimdSender:
         self.pending = workload          #: requests not yet sent
         self.cwnd = CongestionWindow(
             initial=config.initial_window, max_window=config.max_window,
-            rtt_estimate=2.0 * config.network_delay)
+            initial_rtt=2.0 * config.network_delay)
         self._refill_scheduled = False
         self._finished_callback = None
 

@@ -256,7 +256,7 @@ class NetworkMonitor:
                 f"{snapshot.qdi_evictions} evictions")
         if snapshot.queries_completed or snapshot.queries_active:
             lines.append(
-                f"async runtime: {snapshot.queries_completed} queries "
+                f"query engine: {snapshot.queries_completed} queries "
                 f"completed, {snapshot.queries_active} active "
                 f"(peak {snapshot.peak_queries_active}), "
                 f"{snapshot.requests_in_flight} requests in flight; "

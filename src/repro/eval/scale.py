@@ -10,7 +10,7 @@ so peak RSS is attributable::
 A leg builds the network, runs the statistics phase and HDK index
 build (each peer resolving its keys in one shared lookup round), then drives a *churning query
 workload*: join/leave events interleaved with queries through the
-async runtime.  Routing derives every hop from the current
+query engine.  Routing derives every hop from the current
 membership, so a membership change leaves no routing table to repair.
 
 Reported per leg: wall-clock per phase, events processed, effective
@@ -52,7 +52,7 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
                                     min_terms=2, max_terms=3, seed=seed))
     timings: Dict[str, float] = {}
 
-    config = AlvisConfig(async_queries=True)
+    config = AlvisConfig()
 
     started = time.perf_counter()
     network = AlvisNetwork(num_peers=peers, config=config, seed=seed)

@@ -43,7 +43,6 @@ PINNED_DEFAULTS: Dict[str, Any] = {
     # retrieval
     "result_k": 10,
     "prune_on_truncated": True,
-    "parallel_probes": True,
     "refine_with_local_engines": False,
     "refine_pool_factor": 3,
     # query-engine feature switches (off = seed-comparable traces)
@@ -51,10 +50,11 @@ PINNED_DEFAULTS: Dict[str, Any] = {
     "lookup_cache_size": 4096,
     "cache_bytes": 0,
     "cache_ttl": 0,
-    "batch_lookups": False,
+    # the one switch pinned on: frontier-batched wire format (off = the
+    # paper's per-probe traffic, which E1-E13 pin explicitly)
+    "batch_lookups": True,
     "topk_early_stop": False,
-    # async runtime (off = synchronous compatibility path)
-    "async_queries": False,
+    # query-engine dispatch (off = one flush per instant, no pipelining)
     "dispatch_window": 0.0,
     "pipeline_levels": False,
     "request_timeout": 0.0,

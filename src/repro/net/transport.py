@@ -113,7 +113,7 @@ class TransportBackend(Protocol):
     """What the query engine requires from a transport.
 
     Extracted from the simulated transport so the same
-    ``QueryEngine`` / ``AsyncQueryRuntime`` code drives either the
+    ``AsyncQueryRuntime`` query engine drives either the
     discrete-event simulator (:class:`SimTransport`) or real sockets
     (:class:`repro.net.udp.UdpTransport`).  Implementations must mirror
     the failure semantics documented on :class:`SimTransport`:

@@ -2,7 +2,7 @@
 
 A :class:`UdpTransport` implements the :class:`~repro.net.transport.
 TransportBackend` protocol over real localhost/LAN sockets, so the same
-``QueryEngine`` / ``AsyncQueryRuntime`` code that drives the simulator
+``AsyncQueryRuntime`` query engine that drives the simulator
 drives OS processes instead (see :mod:`repro.cluster`).  Semantics
 mirror :class:`~repro.net.transport.SimTransport`:
 

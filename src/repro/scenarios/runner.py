@@ -84,9 +84,7 @@ class ScenarioRunner:
         second one to replay the base stream through ``run_queries``).
         """
         scenario = self.scenario
-        overrides = dict(self._config_overrides)
-        overrides["async_queries"] = True
-        config = AlvisConfig(**overrides)
+        config = AlvisConfig(**dict(self._config_overrides))
         network = AlvisNetwork(num_peers=scenario.num_peers,
                                config=config, seed=self.seed)
         corpus = SyntheticCorpus(SyntheticCorpusConfig(

@@ -233,8 +233,7 @@ class Scenario:
     num_topics: int = 6
     pool_size: int = 30
     index_mode: str = "hdk"
-    #: ``AlvisConfig`` overrides as a tuple of pairs (kept hashable);
-    #: ``async_queries`` is forced on by the runner.
+    #: ``AlvisConfig`` overrides as a tuple of pairs (kept hashable).
     config_overrides: Tuple[Tuple[str, object], ...] = ()
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     timeline: Tuple[TimelineEvent, ...] = ()

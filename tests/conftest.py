@@ -44,8 +44,11 @@ def small_workload(small_corpus) -> QueryWorkload:
 
 @pytest.fixture(scope="module")
 def hdk_network(small_corpus) -> AlvisNetwork:
-    """A 10-peer network with a built HDK index over the small corpus."""
-    network = AlvisNetwork(num_peers=10, config=AlvisConfig(), seed=2)
+    """A 10-peer network with a built HDK index over the small corpus,
+    on the paper's per-probe wire format (one lookup round and one
+    ``ProbeKey`` per lattice node)."""
+    network = AlvisNetwork(num_peers=10,
+                           config=AlvisConfig(batch_lookups=False), seed=2)
     network.distribute_documents(small_corpus.documents())
     network.build_index(mode="hdk")
     return network
@@ -53,8 +56,9 @@ def hdk_network(small_corpus) -> AlvisNetwork:
 
 @pytest.fixture(scope="module")
 def qdi_network(small_corpus) -> AlvisNetwork:
-    """A 10-peer network in QDI mode (single-term base, managers on)."""
-    config = AlvisConfig(qdi_activation_threshold=2)
+    """A 10-peer network in QDI mode (single-term base, managers on),
+    per-probe like ``hdk_network``."""
+    config = AlvisConfig(qdi_activation_threshold=2, batch_lookups=False)
     network = AlvisNetwork(num_peers=10, config=config, seed=2)
     network.distribute_documents(small_corpus.documents())
     network.build_index(mode="qdi")

@@ -60,13 +60,23 @@ class TestCrossBackendEquivalence:
         _addr, fingerprint = cluster._hosts[1]
         assert fingerprint == cluster.fingerprint
 
-    def test_sync_top_k_identical_to_simulator(self, cluster,
-                                               sim_reference):
+    def test_closed_loop_top_k_identical_to_simulator(self, cluster,
+                                                      sim_reference):
+        # One query at a time over UDP, each waited for: the closed-loop
+        # twin of the open workload below.
         origin, expected = sim_reference
+        latencies = []
         for query, reference in zip(QUERIES, expected):
             results, trace = cluster.run_query(origin, query)
             assert _top_k(results) == reference
             assert trace.dropped_count == 0
+            latencies.append(trace.latency)
+        # Wall-clock latencies, zero only for queries the origin answers
+        # itself.
+        assert all(latency >= 0 for latency in latencies)
+        assert any(latency > 0 for latency in latencies)
+        outputs = cluster.run_query_set(QUERIES, origins=[origin])
+        assert [_top_k(results) for results, _trace in outputs] == expected
 
     def test_async_top_k_identical_to_simulator(self, cluster,
                                                 sim_reference):
@@ -76,7 +86,8 @@ class TestCrossBackendEquivalence:
         assert [_top_k(job.results) for job in jobs] == expected
         assert all(job.done for job in jobs)
         # Wall-clock latencies: non-negative, and zero only for queries
-        # served entirely from the probe cache the sync pass warmed.
+        # served entirely from the probe cache the closed-loop pass
+        # warmed.
         assert all(job.trace.latency >= 0 for job in jobs)
 
     def test_traffic_really_crossed_the_wire(self, cluster):

@@ -30,7 +30,7 @@ TIGHT_SERVICE = dict(service_rate=25.0, queue_capacity=2,
 
 
 def build_network(**overrides):
-    config = AlvisConfig(batch_lookups=True, async_queries=True,
+    config = AlvisConfig(batch_lookups=True,
                          **overrides)
     network = AlvisNetwork(num_peers=8, config=config, seed=42)
     network.distribute_documents(sample_documents())

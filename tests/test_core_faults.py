@@ -153,7 +153,7 @@ class TestPartition:
                         payload={}))
 
     def test_async_cross_cut_drops(self):
-        network = build_network(async_queries=True)
+        network = build_network()
         origin = network.peer_ids()[0]
         isolated = probed_owner(network, QUERIES[0], origin)
         network.faults.partition([isolated])
@@ -195,7 +195,7 @@ class TestPartition:
 
 class TestDegrade:
     def test_service_rate_override(self):
-        network = build_network(service_rate=400.0, async_queries=True)
+        network = build_network(service_rate=400.0)
         weak = network.peer_ids()[2]
         network.faults.degrade(weak, service_rate=100.0)
         assert network.transport.service_rate_of(weak) == 100.0
@@ -232,7 +232,7 @@ class TestDegrade:
 
 class TestCrashUnderLoad:
     def test_async_in_flight_requests_drop_not_raise(self):
-        network = build_network(async_queries=True, batch_lookups=True)
+        network = build_network(batch_lookups=True)
         origins = network.peer_ids()[:2]
         victim = probed_owner(network, QUERIES[0], origins[0])
         if victim in origins:
@@ -252,8 +252,8 @@ class TestCrashUnderLoad:
         assert dropped >= 1
 
     def test_facade_crash_mid_run_equals_fail_peer(self):
-        via_method = build_network(async_queries=True)
-        via_facade = build_network(async_queries=True)
+        via_method = build_network()
+        via_facade = build_network()
         victim = probed_owner(via_method, QUERIES[0],
                               via_method.peer_ids()[0])
         origins = [p for p in via_method.peer_ids() if p != victim][:2]

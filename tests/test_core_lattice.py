@@ -9,13 +9,10 @@ from repro.ir.postings import Posting, PostingList
 
 
 def _index_probe(index):
-    """Build a probe function over {Key: PostingList}."""
-    def probe(key):
-        postings = index.get(key)
-        if postings is None:
-            return False, None
-        return True, postings
-    return probe
+    """Build a level probe function over {Key: PostingList}."""
+    def probe_level(keys):
+        return [(key in index, index.get(key)) for key in keys]
+    return probe_level
 
 
 def _complete(*doc_ids):
@@ -124,11 +121,11 @@ class TestExplorationMisc:
         explorer = LatticeExplorer(max_lattice_terms=3)
         probed = []
 
-        def probe(key):
-            probed.append(key)
-            return False, None
+        def probe_level(keys):
+            probed.extend(keys)
+            return [(False, None)] * len(keys)
 
-        outcome = explorer.explore(["a", "b", "c", "d", "e"], probe)
+        outcome = explorer.explore(["a", "b", "c", "d", "e"], probe_level)
         assert len(outcome.query) == 3
         assert len(probed) == 7  # 2^3 - 1
 

@@ -178,7 +178,7 @@ class TestQuerying:
                                             query)
         assert trace.bytes_sent > 0
         assert trace.request_messages >= trace.probed_count
-        assert trace.rtt_estimate > 0
+        assert trace.latency > 0
         assert "ProbeKey" in trace.bytes_by_kind
 
     def test_results_bounded_by_result_k(self, hdk_network,

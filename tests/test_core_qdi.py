@@ -161,6 +161,42 @@ class TestHarvest:
                 assert len(entry.postings) <= 3
 
 
+#: 16 peers, 40 per-probe QDI queries (10 distinct, 4 rounds): wire
+#: totals captured on the deleted synchronous per-probe engine.
+PER_PROBE_QDI_WIRE = {
+    "ContributorsGet": 1619.0, "ContributorsReply": 5174.0,
+    "HarvestKey": 19149.0, "HarvestReply": 20918.0, "LookupHop": 18907.0,
+    "PopularityFeedback": 1867.0, "ProbeKey": 5579.0, "ProbeReply": 12402.0,
+}
+
+
+class TestTraceSemantics:
+    def test_traces_exclude_owner_side_indexing(self, small_corpus,
+                                                small_workload):
+        """A query's trace carries its own messages only: the on-demand
+        indexing its feedback triggers at an owner (contributor lookup
+        and harvest) is wire traffic no trace is charged for."""
+        network = AlvisNetwork(num_peers=16, seed=2, config=AlvisConfig(
+            batch_lookups=False, qdi_activation_threshold=2))
+        network.distribute_documents(small_corpus.documents())
+        network.build_index(mode="qdi")
+        network.reset_traffic()
+        origins = network.peer_ids()
+        traces = [network.query(origins[index % len(origins)],
+                                list(small_workload.pool[index % 10]))[1]
+                  for index in range(40)]
+        assert network.bytes_by_kind() == PER_PROBE_QDI_WIRE
+        assert network.messages_sent_total() == 881
+        kinds = {kind for trace in traces for kind in trace.bytes_by_kind}
+        assert kinds == {"LookupHop", "PopularityFeedback", "ProbeKey",
+                         "ProbeReply"}
+        for kind in ("PopularityFeedback", "ProbeKey", "ProbeReply"):
+            assert sum(trace.bytes_by_kind.get(kind, 0)
+                       for trace in traces) == PER_PROBE_QDI_WIRE[kind]
+        assert sum(trace.bytes_sent for trace in traces) < \
+            sum(PER_PROBE_QDI_WIRE.values())
+
+
 class TestMaintenance:
     def test_decay_and_eviction(self, small_corpus, small_workload):
         network = _qdi_net(small_corpus, threshold=1,

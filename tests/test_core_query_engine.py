@@ -339,14 +339,15 @@ class TestEarlyTermination:
         explorer = LatticeExplorer(prune_on_truncated=False)
         probed = []
 
-        def probe(key):
-            probed.append(key)
-            return True, _posting_list(3.0, 2.0, truncated=True)
+        def probe_level(keys):
+            probed.extend(keys)
+            return [(True, _posting_list(3.0, 2.0, truncated=True))
+                    for _key in keys]
 
         def stop_after_first_level(outcome, remaining):
             return len(outcome.records) >= 1
 
-        outcome = explorer.explore(["a", "b", "c"], probe=probe,
+        outcome = explorer.explore(["a", "b", "c"], probe_level,
                                    should_stop=stop_after_first_level)
         assert probed == [Key(["a", "b", "c"])]
         assert len(outcome.records) == 7       # full lattice recorded
@@ -357,13 +358,13 @@ class TestEarlyTermination:
     def test_pruned_excluded_from_probed_count(self):
         explorer = LatticeExplorer()
 
-        def probe(key):
+        def probe_level(keys):
             # Untruncated full key: all subsets become SKIPPED, not
             # PRUNED, even when the stop test fires.
-            return True, _posting_list(3.0)
+            return [(True, _posting_list(3.0)) for _key in keys]
 
         outcome = explorer.explore(
-            ["a", "b"], probe=probe,
+            ["a", "b"], probe_level,
             should_stop=lambda _outcome, _remaining: True)
         statuses = {record.key: record.status
                     for record in outcome.records}
@@ -430,9 +431,11 @@ class TestEarlyTermination:
             pytest.approx([doc.score for doc in stop_results])
 
     def test_exactly_one_probe_mode_required(self):
+        # The level probe is the one probe mode; the per-key form is gone.
         explorer = LatticeExplorer()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             explorer.explore(["a"])
+        with pytest.raises(TypeError):
+            explorer.explore(["a"], probe=lambda key: (False, None))
         with pytest.raises(ValueError):
-            explorer.explore(["a"], probe=lambda key: (False, None),
-                             probe_level=lambda keys: [])
+            explorer.explore(["a"], lambda keys: [])

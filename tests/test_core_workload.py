@@ -23,7 +23,6 @@ QUERIES = ["scalable peer retrieval",
 
 
 def build_network(**overrides):
-    overrides.setdefault("async_queries", True)
     config = AlvisConfig(**overrides)
     network = AlvisNetwork(num_peers=8, config=config, seed=42)
     network.distribute_documents(sample_documents())
@@ -109,11 +108,6 @@ class TestShimEquivalence:
         assert doc_ids(old_jobs) == doc_ids(new_jobs)
         assert trace_fingerprint(old_jobs) == trace_fingerprint(new_jobs)
         assert old.bytes_by_kind() == new.bytes_by_kind()
-
-    def test_requires_async_queries(self):
-        network = build_network(async_queries=False)
-        with pytest.raises(ValueError, match="async_queries"):
-            network.run_queries(QUERIES)
 
 
 # ----------------------------------------------------------------------

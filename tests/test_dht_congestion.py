@@ -193,7 +193,7 @@ class TestCongestionWindow:
 
     def test_decrease_at_most_once_per_rtt(self):
         # A burst of drops inside one RTT is ONE congestion event.
-        window = CongestionWindow(initial=16.0, rtt_estimate=0.1)
+        window = CongestionWindow(initial=16.0, initial_rtt=0.1)
         for _ in range(4):
             window.on_send()
         window.on_drop(now=1.0)
@@ -209,7 +209,7 @@ class TestCongestionWindow:
 
     def test_window_floor_and_cap(self):
         window = CongestionWindow(initial=2.0, max_window=2.5,
-                                  rtt_estimate=0.1)
+                                  initial_rtt=0.1)
         window.on_send()
         window.on_ack(now=0.0)
         window.on_send()
@@ -239,7 +239,7 @@ class TestCongestionWindow:
         assert 0.2 < window.srtt < 0.4                # smoothed
 
     def test_trajectory_recorded(self):
-        window = CongestionWindow(initial=2.0, rtt_estimate=0.1)
+        window = CongestionWindow(initial=2.0, initial_rtt=0.1)
         window.on_send()
         window.on_ack(now=1.0)
         window.on_send()

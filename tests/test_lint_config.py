@@ -28,10 +28,10 @@ def test_pinned_table_matches_live_config():
 def test_flipped_default_is_rpl060(lint_project):
     project = lint_project({"core/config.py": """\
         class AlvisConfig:
-            async_queries: bool = True
+            topk_early_stop: bool = True
         """})
     flipped = by_code(run(project), "RPL060")
-    assert [f.symbol for f in flipped] == ["async_queries"]
+    assert [f.symbol for f in flipped] == ["topk_early_stop"]
 
 
 def test_bool_int_confusion_is_rpl060(lint_project):

@@ -159,12 +159,11 @@ def test_exploration_visits_every_node_exactly_once(term_list, data):
         elif choice == "complete":
             index[node] = PostingList([Posting(1, 1.0)])
 
-    def probe(k):
-        plist = index.get(k)
-        return (plist is not None), plist
+    def probe_level(keys):
+        return [(index.get(k) is not None, index.get(k)) for k in keys]
 
     outcome = LatticeExplorer(prune_on_truncated=True).explore(
-        key.terms, probe)
+        key.terms, probe_level)
     visited = [record.key for record in outcome.records]
     assert sorted(visited, key=lambda k: k.terms) == \
         sorted(all_nodes, key=lambda k: k.terms)
