@@ -171,12 +171,10 @@ class SingleTermNetwork:
     def __init__(self, num_peers: int, seed: int = 0,
                  strategy: Optional[FingerTableStrategy] = None,
                  latency: Optional[LatencyModel] = None,
-                 account_lookups: bool = True,
                  analyzer: Optional[Analyzer] = None):
         if num_peers <= 0:
             raise ValueError(f"num_peers must be positive, got {num_peers}")
         self.analyzer = analyzer if analyzer is not None else Analyzer()
-        self.account_lookups = account_lookups
         self.simulator = Simulator()
         self.transport = SimTransport(
             self.simulator,
@@ -217,8 +215,7 @@ class SingleTermNetwork:
     # ------------------------------------------------------------------
 
     def _lookup(self, origin: int, key_id: int) -> Tuple[int, int]:
-        result = self.ring.lookup_many(origin, [key_id],
-                                       account=self.account_lookups)
+        result = self.ring.lookup_many(origin, [key_id])
         return result.owners[key_id], result.messages
 
     def _send(self, origin: int, dst: int, kind: str,

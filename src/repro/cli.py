@@ -209,9 +209,13 @@ def _command_cluster(args, out) -> int:
         return PeerProcessHost(ClusterSpec.from_json(args.spec),
                                args.serve_host,
                                (host, int(port))).serve()
-    spec = ClusterSpec(num_peers=args.peers, num_hosts=args.hosts,
-                       seed=args.seed, mode=args.mode,
-                       request_timeout=args.timeout)
+    try:
+        spec = ClusterSpec(num_peers=args.peers, num_hosts=args.hosts,
+                           seed=args.seed, mode=args.mode,
+                           request_timeout=args.timeout)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     with ClusterDriver(spec) as driver:
         network = driver.network
         print(f"UDP cluster: {network} across {args.hosts} processes, "

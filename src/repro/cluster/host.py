@@ -67,6 +67,11 @@ class ClusterSpec:
                 f"peers over {self.num_hosts} hosts")
         if self.request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
+        if self.mode == "qdi":
+            raise ValueError(
+                "mode 'qdi' is not supported on the UDP cluster: QDI "
+                "activation runs a synchronous lookup on the transport's "
+                "loop thread, where it would deadlock")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

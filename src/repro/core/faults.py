@@ -133,10 +133,10 @@ class FaultInjector:
         majority side.
 
         Cross-group messages (and in-flight replies) are dropped by the
-        transport: synchronous requests raise
-        :class:`~repro.net.transport.DeliveryError` (surfaced as
-        ``DROPPED`` probes by the query engine), async requests resolve
-        as ``"dropped"`` outcomes.  Replaces any previous partition.
+        transport: synchronous requests (indexing and maintenance flows)
+        raise :class:`~repro.net.transport.DeliveryError`, async requests
+        resolve as ``"dropped"`` outcomes, which the query engine
+        surfaces as ``DROPPED`` probes.  Replaces any previous partition.
         """
         mapping = {}
         for index, group in enumerate(groups, start=1):

@@ -76,7 +76,6 @@ class AlvisNetwork:
                  strategy: Optional[FingerTableStrategy] = None,
                  latency: Optional[LatencyModel] = None,
                  peer_ids: Optional[Sequence[int]] = None,
-                 account_lookups: bool = True,
                  analyzer: Optional[Analyzer] = None,
                  virtual_nodes: int = 1):
         if num_peers <= 0:
@@ -86,7 +85,6 @@ class AlvisNetwork:
                 f"virtual_nodes must be >= 1, got {virtual_nodes}")
         self.config = config if config is not None else AlvisConfig()
         self.seed = seed
-        self.account_lookups = account_lookups
         #: Virtual ring positions per peer (classic DHT load balancing:
         #: more positions -> each peer owns several small key ranges, so
         #: per-peer storage evens out).  Values > 1 are incompatible with
@@ -287,8 +285,7 @@ class AlvisNetwork:
                key_ids: List[int]) -> Tuple[Dict[int, int], int]:
         """One routed ``lookup_many`` round: ``({key_id: owner peer},
         hop messages)``."""
-        result = self.ring.lookup_many(origin, key_ids,
-                                       account=self.account_lookups)
+        result = self.ring.lookup_many(origin, key_ids)
         return ({key_id: self.peer_of_ring_node(result.owners[key_id])
                  for key_id in key_ids}, result.messages)
 

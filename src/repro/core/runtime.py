@@ -439,15 +439,8 @@ class _OriginDispatcher:
     def _flush_lookups(self, waiters: List[_LookupWaiter]) -> None:
         network = self.runtime.network
         if not network.ring.contains(self.origin):
-            # The origin itself departed (crash mid-query): nothing can
-            # route from it any more.  Resolve via the ownership oracle
-            # with zero traffic — replies to the dead origin would be
-            # dropped anyway, so its queries wind down as dropped probes.
-            for waiter in waiters:
-                owners = {key_id: network.owner_peer_of_key(key_id)
-                          for key_id in waiter.key_ids}
-                waiter.future.resolve(_LookupGrant(owners=owners,
-                                                   messages=0, bytes=0))
+            # The origin itself departed (crash mid-query).
+            _grant_from_oracle(network, waiters)
             return
         if self.batched:
             self._submit(_PendingLookup(waiters=waiters))
@@ -467,23 +460,17 @@ class _OriginDispatcher:
         waiters = send.waiters
         if not network.ring.contains(self.origin):
             # The origin departed while the traversal waited for a
-            # window slot: resolve via the oracle, zero traffic (as in
-            # :meth:`_flush_lookups`), and release the slot.
+            # window slot: resolve via the oracle and release the slot.
             if self.cwnd is not None:
                 self.cwnd.on_ack(network.simulator.now)
-            for waiter in waiters:
-                owners = {key_id: network.owner_peer_of_key(key_id)
-                          for key_id in waiter.key_ids}
-                waiter.future.resolve(_LookupGrant(owners=owners,
-                                                   messages=0, bytes=0))
+            _grant_from_oracle(network, waiters)
             self._drain_backlog()
             return
         union = list(dict.fromkeys(key_id for waiter in waiters
                                    for key_id in waiter.key_ids))
         sent_at = network.simulator.now
         proc = network.simulator.spawn(
-            network.ring.lookup_many_async(
-                self.origin, union, account=network.account_lookups),
+            network.ring.lookup_many_async(self.origin, union),
             name=f"lookup@{self.origin}")
 
         def on_done(proc: Proc) -> None:
@@ -697,6 +684,18 @@ def _cache_put(cache: Optional[LRUByteCache], key: Key, found: bool,
     size = (key.wire_size() + _CACHE_ENTRY_OVERHEAD
             + (postings.wire_size() if postings is not None else 1))
     cache.put(key, (found, postings), size)
+
+
+def _grant_from_oracle(network: "AlvisNetwork",
+                       waiters: List[_LookupWaiter]) -> None:
+    """Resolve a departed origin's ``waiters`` from the ownership oracle,
+    with zero traffic: nothing routes from it any more, and replies to
+    it would be dropped, so its queries wind down as dropped probes."""
+    for waiter in waiters:
+        owners = {key_id: network.owner_peer_of_key(key_id)
+                  for key_id in waiter.key_ids}
+        waiter.future.resolve(_LookupGrant(owners=owners, messages=0,
+                                           bytes=0))
 
 
 def _merge_grants(grants: List[_LookupGrant]) -> _LookupGrant:

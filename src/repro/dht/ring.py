@@ -5,16 +5,18 @@ played by the converged maintenance protocol).  Lookups, however, are
 executed hop by hop, each hop the greedy choice of the node it leaves
 (:meth:`~repro.dht.routing.FingerTableStrategy.next_hop`, computed from
 the sorted membership), so the measured hop counts and routing traffic are
-those of the distributed algorithm, not of the oracle.  One walk routes
-every lookup: :meth:`DHTRing.lookup_many` (a single key is a batch of
-one), with :meth:`DHTRing.lookup_many_async` as its event-kernel twin.
+those of the distributed algorithm, not of the oracle.  One round step
+routes every lookup (a single key is a batch of one) under two
+deliveries: :meth:`DHTRing.lookup_many` (indexing and maintenance) and
+its event-kernel twin :meth:`DHTRing.lookup_many_async` (every query).
+A ring accounts its routing traffic if and only if it has a transport.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dht.idspace import ID_BITS
 from repro.dht.node import DHTNode
@@ -34,10 +36,6 @@ __all__ = ["LookupRound", "DHTRing",
 HOP_BATCH_BASE_BYTES = HEADER_BYTES + encoded_size({"key_ids": []})
 HOP_KEY_BYTES = encoded_size(0)
 
-#: Handover callback signature: (old_owner, new_owner, key_range_lo, key_range_hi).
-HandoverCallback = Callable[[int, int, int, int], None]
-
-
 @dataclass
 class LookupRound:
     """Outcome of one (shared-traversal) lookup round over one or more
@@ -50,13 +48,15 @@ class LookupRound:
 
     owners: Dict[int, int]          #: key id -> owning node id
     messages: int                   #: routed hop messages for the batch
-    per_key_hops: Dict[int, int]    #: key id -> individual path length
+    #: key id -> the ``LookupHop`` messages that carried it (its path
+    #: length on a walk without churn or retransmission).
+    per_key_hops: Dict[int, int]
     #: Key ids carried by each hop message, in send order — lets callers
     #: that share one round across several queries attribute messages to
-    #: the queries whose keys travelled in them.  ``None`` when the
-    #: caller did not ask for it.
+    #: the queries whose keys travelled in them.  ``None`` from the
+    #: synchronous walk.
     message_batches: Optional[List[List[int]]] = None
-    #: Wire size of each hop message (0 when routing is unaccounted),
+    #: Wire size of each hop message (0 on a ring without a transport),
     #: aligned with ``message_batches``.
     message_bytes: Optional[List[int]] = None
     #: Hop messages re-sent after a service-queue overflow (async path
@@ -189,8 +189,60 @@ class DHTRing:
     # Iterative lookup
     # ------------------------------------------------------------------
 
-    def lookup_many(self, source_id: int, key_ids: Iterable[int],
-                    account: bool = False) -> LookupRound:
+    def _route_round(self, frontier: Dict[int, List[int]], source_id: int,
+                     owners: Dict[int, int],
+                     per_key_hops: Optional[Dict[int, int]] = None,
+                     depth: int = 0) -> List[Tuple[int, int, List[int]]]:
+        """One round of the greedy frontier walk over the current
+        membership, the step both walks drive.
+
+        ``frontier`` maps each node to the keys it holds.  Keys standing
+        at their owner go to ``owners`` (and to ``per_key_hops`` as
+        ``depth``, when given); keys stranded at a departed node restart
+        from the source, or take the oracle's owner if it left too.
+        Returns the round's hops ``(node, next node, keys)`` in
+        node-then-target order; a restart is a message-free hop from the
+        source to itself.
+        """
+        members = self._sorted_ids
+        n = len(members)
+        hop = self.strategy.next_hop
+        hops: List[Tuple[int, int, List[int]]] = []
+        for node_id in sorted(frontier):
+            keys = frontier[node_id]
+            if node_id not in self._members:
+                if source_id in self._members:
+                    hops.append((source_id, source_id, keys))
+                else:
+                    for key_id in keys:
+                        owners[key_id] = self.successor_of(key_id)
+                continue
+            rank = bisect_left(members, node_id)
+            by_next: Dict[int, List[int]] = {}
+            by_next_get = by_next.get
+            for key_id in keys:
+                if bisect_left(members, key_id) % n == rank:
+                    owners[key_id] = node_id
+                    if per_key_hops is not None:
+                        per_key_hops[key_id] = depth
+                    continue
+                next_id = hop(members, rank, key_id)
+                if next_id is None:
+                    next_id = members[(rank + 1) % n]
+                batch = by_next_get(next_id)
+                if batch is None:
+                    by_next[next_id] = [key_id]
+                else:
+                    batch.append(key_id)
+            # Deterministic emission order; a 0/1-entry dict (the
+            # common case late in the walk) is already sorted.
+            for next_id in (by_next if len(by_next) < 2
+                            else sorted(by_next)):
+                hops.append((node_id, next_id, by_next[next_id]))
+        return hops
+
+    def lookup_many(self, source_id: int,
+                    key_ids: Iterable[int]) -> LookupRound:
         """Route one *batch* of keys from ``source_id`` in a shared round.
 
         Every key follows its own greedy hop sequence (each hop the
@@ -201,89 +253,46 @@ class DHTRing:
         query engine).  A single key is a batch of one: one message per
         hop.  Pure routing — nothing is memoized, so every call pays its
         walk.
+
+        The synchronous delivery: the membership holds still, so a key's
+        hop count is the round it arrives in.  Each hop is accounted in
+        bulk (:meth:`~repro.net.transport.SimTransport.begin_hop_bulk`),
+        by ``deliver_hop`` or as a ``LookupHop`` request; an
+        undeliverable one raises
+        :class:`~repro.net.transport.DeliveryError`.
         """
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
-        deliver = (getattr(self.transport, "deliver_hop", None)
-                   if account and self.transport is not None else None)
-        # Bulk hop accounting (see SimTransport.begin_hop_bulk): hops
-        # accumulate in ``hop_acc`` (dst -> [messages, bytes]) and are
-        # settled in one flush, replacing a per-hop delivery call.
-        live = None
-        hop_acc: Optional[Dict[int, List[int]]] = None
-        if deliver is not None:
-            begin_bulk = getattr(self.transport, "begin_hop_bulk", None)
-            live = begin_bulk() if begin_bulk is not None else None
-            if live is not None:
-                hop_acc = {}
+        transport = self.transport
+        deliver = getattr(transport, "deliver_hop", None)
+        # Bulk hop accounting: hops accumulate in ``hop_acc`` (dst ->
+        # [messages, bytes]) and are settled in one flush.
+        live = transport.begin_hop_bulk() if deliver is not None else None
+        hop_acc: Optional[Dict[int, List[int]]] = (
+            {} if live is not None else None)
         pending = sorted(set(key_ids))
-        try:
-            return self._lookup_many_rounds(source_id, pending, deliver,
-                                            live, hop_acc, account)
-        finally:
-            # Settle accumulated bulk hops even when a delivery error
-            # aborts the walk: exactly the hops per-hop delivery would
-            # have accounted before raising.
-            if hop_acc:
-                self.transport.flush_hop_bulk(hop_acc)
-
-    #: An alias, not a second walk: nothing routes through it.  Like
-    #: :meth:`maintain` it survives only because ``perf/tracer.py``'s
-    #: entry-point table names it, and goes together with that entry.
-    lookup = lookup_many
-
-    def _lookup_many_rounds(self, source_id, pending, deliver, live,
-                            hop_acc, account):
-        """The frontier walk of :meth:`lookup_many` (split out so the
-        bulk-hop flush wraps it in one ``finally``)."""
         owners: Dict[int, int] = {}
         per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
-        frontier: Dict[int, List[int]] = (
-            {source_id: pending} if pending else {})
+        frontier: Dict[int, List[int]] = {source_id: pending}
         messages = 0
         rounds = 0
         max_rounds = 2 * ID_BITS + self.size
-        members = self._sorted_ids
-        n = len(members)
-        hop = self.strategy.next_hop
-        while frontier:
-            rounds += 1
-            if rounds > max_rounds:
-                unresolved = sorted(key_id for keys in frontier.values()
-                                    for key_id in keys)
-                raise RuntimeError(
-                    f"batched lookup exceeded {max_rounds} rounds for "
-                    f"keys {unresolved[:4]}...; routing is "
-                    "inconsistent")
-            next_frontier: Dict[int, List[int]] = {}
-            for node_id in sorted(frontier):
-                rank = bisect_left(members, node_id)
-                successor = members[(rank + 1) % n]
-                by_next: Dict[int, List[int]] = {}
-                by_next_get = by_next.get
-                for key_id in frontier[node_id]:
-                    if bisect_left(members, key_id) % n == rank:
-                        # Forwarded once per completed earlier round.
-                        per_key_hops[key_id] = rounds - 1
-                        owners[key_id] = node_id
+        try:
+            while frontier:
+                rounds += 1
+                if rounds > max_rounds:
+                    raise RuntimeError(f"lookup exceeded {max_rounds} "
+                                       "rounds; routing is inconsistent")
+                next_frontier: Dict[int, List[int]] = {}
+                for node_id, next_id, batch in self._route_round(
+                        frontier, source_id, owners, per_key_hops,
+                        rounds - 1):
+                    messages += 1
+                    next_frontier.setdefault(next_id, []).extend(batch)
+                    if transport is None:
                         continue
-                    next_id = hop(members, rank, key_id)
-                    if next_id is None:
-                        next_id = successor
-                    batch = by_next_get(next_id)
-                    if batch is None:
-                        by_next[next_id] = [key_id]
-                    else:
-                        batch.append(key_id)
-                # Deterministic emission order; a 0/1-entry dict (the
-                # common case late in the walk) is already sorted.
-                targets = (by_next if len(by_next) < 2
-                           else sorted(by_next))
-                for next_id in targets:
-                    batch = by_next[next_id]
+                    size = HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES * len(batch)
                     if hop_acc is not None and next_id in live:
-                        size = (HOP_BATCH_BASE_BYTES
-                                + HOP_KEY_BYTES * len(batch))
                         entry = hop_acc.get(next_id)
                         if entry is None:
                             hop_acc[next_id] = [1, size]
@@ -291,36 +300,36 @@ class DHTRing:
                             entry[0] += 1
                             entry[1] += size
                     elif deliver is not None:
-                        # Unregistered destinations fall through to
-                        # deliver_hop, which raises the DeliveryError
-                        # per-hop delivery would.
-                        deliver(node_id, next_id,
-                                HOP_BATCH_BASE_BYTES
-                                + HOP_KEY_BYTES * len(batch))
-                    elif account and self.transport is not None:
-                        message = Message(src=node_id, dst=next_id,
-                                          kind="LookupHop",
-                                          payload={"key_ids": batch})
-                        self.transport.request(message)
-                    messages += 1
-                    next_frontier.setdefault(next_id, []).extend(batch)
-            frontier = next_frontier
+                        # An unregistered destination: deliver_hop raises.
+                        deliver(node_id, next_id, size)
+                    else:
+                        transport.request(Message(
+                            src=node_id, dst=next_id, kind="LookupHop",
+                            payload={"key_ids": batch}))
+                frontier = next_frontier
+        finally:
+            # Settle accumulated bulk hops even when a delivery error
+            # aborts the walk: exactly the hops delivered before it.
+            if hop_acc:
+                transport.flush_hop_bulk(hop_acc)
         return LookupRound(owners=owners, messages=messages,
-                                 per_key_hops=per_key_hops)
+                           per_key_hops=per_key_hops)
 
-    def lookup_many_async(self, source_id: int, key_ids: Iterable[int],
-                          account: bool = True):
-        """Async (sim-proc) variant of :meth:`lookup_many`.
+    #: An alias, not a second walk: nothing routes through it.  Like
+    #: :meth:`maintain` it survives only because ``perf/tracer.py``'s
+    #: entry-point table names it, and goes together with that entry.
+    lookup = lookup_many
+
+    def lookup_many_async(self, source_id: int, key_ids: Iterable[int]):
+        """The event-kernel delivery of :meth:`lookup_many`'s round step.
 
         A generator to be driven by :meth:`repro.sim.events.Simulator.spawn`
-        (or ``yield from`` inside another proc): each routing round sends
-        its shared ``LookupHop`` messages through
-        :meth:`~repro.net.transport.SimTransport.request_async` and *waits*
-        for their delivery before advancing the frontier, so lookups from
-        different queries genuinely interleave in virtual time.  With an
-        unchanged membership the hop sequence — and therefore the routed
-        messages and their sizes — is identical to the synchronous
-        :meth:`lookup_many`.
+        (or ``yield from`` inside another proc): each round sends its
+        shared ``LookupHop`` messages through
+        :meth:`~repro.net.transport.SimTransport.request_async` and
+        *waits* for their delivery before advancing the frontier, so
+        lookups from different queries genuinely interleave in virtual
+        time.  Over a fixed membership both walks route every key alike.
 
         Churn mid-lookup is handled gracefully instead of raising:
 
@@ -346,13 +355,13 @@ class DHTRing:
         """
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
+        transport = self.transport
         pending = sorted(set(key_ids))
         owners: Dict[int, int] = {}
         per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
         message_batches: List[List[int]] = []
         message_bytes: List[int] = []
         frontier: Dict[int, List[int]] = {source_id: pending}
-        messages = 0
         rounds = 0
         retransmissions = 0
         consecutive_overflows = 0
@@ -361,66 +370,30 @@ class DHTRing:
         #: inconsistency.
         retry_budget = 64
         max_rounds = 2 * ID_BITS + self.size
-        members = self._sorted_ids
-        hop = self.strategy.next_hop
         while frontier:
             rounds += 1
             if rounds > max_rounds + retransmissions:
-                unresolved = sorted(key_id for keys in frontier.values()
-                                    for key_id in keys)
-                raise RuntimeError(
-                    f"async batched lookup exceeded {max_rounds} rounds "
-                    f"for keys {unresolved[:4]}...; routing is "
-                    "inconsistent")
-            # Membership may have changed while the last round's hops
-            # were in flight (``members`` is updated in place): route
-            # this round over the current one.
-            n = len(members)
-            hops: List[Tuple[int, int, List[int]]] = []
-            for node_id in sorted(frontier):
-                if node_id not in self._members:
-                    # The routing node departed while keys were headed to
-                    # it; restart from the source or fall back to the
-                    # ownership oracle.
-                    for key_id in frontier[node_id]:
-                        if source_id in self._members:
-                            hops.append((source_id, source_id, [key_id]))
-                        else:
-                            owners[key_id] = self.successor_of(key_id)
-                    continue
-                rank = bisect_left(members, node_id)
-                by_next: Dict[int, List[int]] = {}
-                for key_id in frontier[node_id]:
-                    if bisect_left(members, key_id) % n == rank:
-                        owners[key_id] = node_id
-                        continue
-                    next_id = hop(members, rank, key_id)
-                    if next_id is None:
-                        next_id = members[(rank + 1) % n]
-                    by_next.setdefault(next_id, []).append(key_id)
-                for next_id in sorted(by_next):
-                    hops.append((node_id, next_id, by_next[next_id]))
-            # Restart hops (node_id == next_id) carry no message; they
-            # just re-enter the frontier at the source.
+                raise RuntimeError(f"lookup exceeded {max_rounds} rounds; "
+                                   "routing is inconsistent")
+            # Routed over the membership as it is now: it may have
+            # changed while the last round's hops were in flight.
             sends = []
-            for node_id, next_id, batch in hops:
-                if node_id == next_id:
-                    sends.append((None, node_id, next_id, batch))
-                    continue
-                messages += 1
-                message_batches.append(list(batch))
-                for key_id in batch:
-                    per_key_hops[key_id] += 1
-                if account and self.transport is not None:
-                    hop_message = Message(src=node_id, dst=next_id,
-                                          kind="LookupHop",
-                                          payload={"key_ids": batch})
-                    message_bytes.append(hop_message.size_bytes())
-                    sends.append((self.transport.request_async(hop_message),
-                                  node_id, next_id, batch))
-                else:
-                    message_bytes.append(0)
-                    sends.append((None, node_id, next_id, batch))
+            for node_id, next_id, batch in self._route_round(
+                    frontier, source_id, owners):
+                future = None
+                if node_id != next_id:      # a restart sends nothing
+                    message_batches.append(batch)
+                    for key_id in batch:
+                        per_key_hops[key_id] += 1
+                    if transport is None:
+                        message_bytes.append(0)
+                    else:
+                        hop_message = Message(src=node_id, dst=next_id,
+                                              kind="LookupHop",
+                                              payload={"key_ids": batch})
+                        message_bytes.append(hop_message.size_bytes())
+                        future = transport.request_async(hop_message)
+                sends.append((future, node_id, next_id, batch))
             futures = [future for future, *_rest in sends
                        if future is not None]
             if futures:
@@ -465,8 +438,8 @@ class DHTRing:
             else:
                 consecutive_overflows = 0
             frontier = next_frontier
-        return LookupRound(owners=owners, messages=messages,
-                                 per_key_hops=per_key_hops,
-                                 message_batches=message_batches,
-                                 message_bytes=message_bytes,
-                                 retransmissions=retransmissions)
+        return LookupRound(owners=owners, messages=len(message_batches),
+                           per_key_hops=per_key_hops,
+                           message_batches=message_batches,
+                           message_bytes=message_bytes,
+                           retransmissions=retransmissions)

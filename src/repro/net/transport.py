@@ -6,15 +6,17 @@ discrete-event implementation (and the default), while
 :mod:`repro.net.udp` provides a real asyncio/UDP backend with the same
 surface.
 
-Two delivery modes are offered:
+Three delivery modes are offered:
 
 * :meth:`SimTransport.request` — synchronous request/response.  The
   handler of the destination endpoint runs immediately; bytes are
   accounted in both directions and the round-trip latency is *returned*
   so callers can accumulate per-operation virtual time without running
-  the event loop.  The distributed-IR layers (L3/L4) use this mode:
-  their protocols are strictly request/reply and the interesting
-  measurements are bytes and message counts.
+  the event loop.  Indexing and maintenance flows (the statistics
+  phase, HDK and incremental publishing, QDI activation) use this mode,
+  as does the synchronous routing walk behind them
+  (:meth:`SimTransport.deliver_hop` is its per-hop fast path); queries
+  never do.
 
 * :meth:`SimTransport.send_async` — schedules delivery through the
   simulator's event queue after a sampled latency.  The DHT
@@ -311,13 +313,13 @@ class SimTransport:
     def _account(self, message: Message) -> None:
         self._account_raw(message.kind, message.dst, message.size_bytes())
 
-    def _account_raw(self, kind: str, dst: int, size: int) -> None:
-        """Accounting with cached counter objects.
+    def _kind_counters(self, kind: str) -> Tuple:
+        """The ``(messages, bytes)`` counter objects of ``kind``, cached
+        (with the totals in ``_total_counters``) until the registry's
+        generation moves.
 
         ``metrics.counter(name)`` is two dict probes plus an f-string per
-        call; at 100k-peer indexing scale that dominated delivery.  Sizes
-        are always non-negative (wire-size model), so the values are
-        bumped directly.
+        call; at 100k-peer indexing scale that dominated delivery.
         """
         metrics = self.simulator.metrics
         if metrics.generation != self._counter_gen:
@@ -330,6 +332,13 @@ class SimTransport:
             counters = (metrics.counter(f"net.msgs.sent.{kind}"),
                         metrics.counter(f"net.bytes.sent.{kind}"))
             self._counter_cache[kind] = counters
+        return counters
+
+    def _account_raw(self, kind: str, dst: int, size: int) -> None:
+        """Accounting with cached counter objects.  Sizes are always
+        non-negative (wire-size model), so the values are bumped
+        directly."""
+        counters = self._kind_counters(kind)
         msgs_total, bytes_total = self._total_counters
         msgs_total.value += 1.0
         bytes_total.value += size
@@ -570,17 +579,7 @@ class SimTransport:
         ``counts`` maps destination id to ``[messages, bytes]``.  The
         effect equals calling :meth:`deliver_hop` once per message.
         """
-        metrics = self.simulator.metrics
-        if metrics.generation != self._counter_gen:
-            self._counter_cache = {}
-            self._counter_gen = metrics.generation
-            self._total_counters = (metrics.counter("net.msgs.sent"),
-                                    metrics.counter("net.bytes.sent"))
-        counters = self._counter_cache.get("LookupHop")
-        if counters is None:
-            counters = (metrics.counter("net.msgs.sent.LookupHop"),
-                        metrics.counter("net.bytes.sent.LookupHop"))
-            self._counter_cache["LookupHop"] = counters
+        counters = self._kind_counters("LookupHop")
         bytes_in = self.bytes_in
         msgs_in = self.msgs_in
         total_msgs = 0

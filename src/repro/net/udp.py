@@ -541,9 +541,10 @@ class UdpTransport:
         """Deliver ``message`` and block for ``(reply, rtt)``.
 
         Raises :class:`DeliveryError` for unroutable destinations, churn
-        nacks and timeouts — exactly the failure surface the synchronous
-        engine already handles gracefully (``ProbeStatus.DROPPED``).
-        Must not be called from the transport's loop thread.
+        nacks and timeouts — the failure surface of
+        :meth:`~repro.net.transport.SimTransport.request`, which the
+        indexing and maintenance flows call.  Must not be called from
+        the transport's loop thread.
         """
         if threading.get_ident() == self._loop_thread_id:
             raise RuntimeError(

@@ -7,6 +7,7 @@ destructively (tests that need mutation build their own small network).
 
 from __future__ import annotations
 
+import random
 import textwrap
 
 import pytest
@@ -16,7 +17,12 @@ from repro.core.network import AlvisNetwork
 from repro.corpus.loader import sample_documents
 from repro.corpus.queries import QueryWorkload, QueryWorkloadConfig
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
+from repro.dht.ring import DHTRing
+from repro.dht.routing import HopSpaceFingers
 from repro.ir.analysis import Analyzer
+from repro.net.latency import ConstantLatency
+from repro.net.transport import SimTransport
+from repro.sim.events import Simulator
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +90,33 @@ def scan_route():
         return path
 
     return route
+
+
+class _HopSink:
+    """An endpoint that accepts routing hops (one-way: no reply)."""
+
+    def on_message(self, message):
+        return None
+
+
+@pytest.fixture(scope="session")
+def transport_ring():
+    """``transport_ring(node_ids)`` -> ``(simulator, transport, ring)``:
+    a ring over a ``SimTransport`` (constant 20 ms latency) with a
+    no-reply endpoint per node, so both routing walks send and account
+    their ``LookupHop`` messages."""
+
+    def build(node_ids):
+        simulator = Simulator()
+        transport = SimTransport(simulator, ConstantLatency(0.02),
+                                 random.Random(0))
+        ring = DHTRing(HopSpaceFingers(), transport)
+        for node_id in node_ids:
+            ring.add_node(node_id)
+            transport.register(node_id, _HopSink())
+        return simulator, transport, ring
+
+    return build
 
 
 @pytest.fixture()

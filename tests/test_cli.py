@@ -29,6 +29,13 @@ class TestParser:
             build_parser().parse_args(["--mode", "bogus", "demo"])
 
 
+class TestCluster:
+    def test_qdi_mode_rejected(self, capsys):
+        code, _output = _run(["--mode", "qdi", "cluster"])
+        assert code == 2
+        assert "not supported on the UDP cluster" in capsys.readouterr().err
+
+
 class TestDemo:
     def test_demo_runs(self):
         code, output = _run(["--peers", "4", "demo", "--queries", "2"])

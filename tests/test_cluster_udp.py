@@ -47,6 +47,12 @@ class TestDeterministicBuild:
         assert state_fingerprint(build_network(spec)) == \
             state_fingerprint(build_network(spec))
 
+    def test_qdi_mode_rejected(self):
+        # QDI activation would run a synchronous lookup on the UDP
+        # loop thread and hang the query that triggered it.
+        with pytest.raises(ValueError, match="qdi"):
+            ClusterSpec(**dict(SPEC, mode="qdi"))
+
     def test_positional_assignment_partitions_peers(self):
         network = build_network(ClusterSpec(**SPEC))
         slices = [peers_for_host(network, host, 2) for host in range(2)]

@@ -14,6 +14,7 @@ from repro.core.config import AlvisConfig
 from repro.core.keys import Key
 from repro.core.lattice import ProbeStatus
 from repro.core.network import AlvisNetwork
+from repro.dht.ring import HOP_BATCH_BASE_BYTES, HOP_KEY_BYTES
 from repro.corpus import sample_documents
 from repro.net import protocol
 from repro.net.message import Message
@@ -152,6 +153,28 @@ class TestPartition:
                 Message(src=origin, dst=isolated, kind="Ping",
                         payload={}))
 
+    def test_publish_resolution_cut_mid_route_raises(self, scan_route):
+        # A partition turns off bulk hop accounting, so an indexing-side
+        # resolution delivers hop by hop: the hops before the cut one
+        # are charged, then the cut hop raises.
+        network = AlvisNetwork(num_peers=24, seed=42)
+        origin = network.peer_ids()[0]
+        key_id = 0
+        path = [origin]
+        while len(path) < 4:
+            key_id += 1 << 52
+            path = scan_route(network.ring, origin, key_id)
+        network.faults.partition([path[3]])
+        metrics = network.simulator.metrics
+        with pytest.raises(DeliveryError, match="partition"):
+            network.publish_owners(origin, [key_id])
+        assert metrics.counter_value("net.msgs.sent.LookupHop") == 2
+        assert metrics.counter_value("net.bytes.sent.LookupHop") == \
+            2 * (HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES)
+        assert network.transport.msgs_in[path[1]] == 1
+        assert network.transport.msgs_in[path[2]] == 1
+        assert network.transport.msgs_in[path[3]] == 0
+
     def test_async_cross_cut_drops(self):
         network = build_network()
         origin = network.peer_ids()[0]
@@ -272,7 +295,8 @@ class TestCrashUnderLoad:
 
     def test_sync_half_dead_owner_drops(self):
         # Transport endpoint gone but ring entry intact (the classic
-        # half-dead peer): the sync engine reports DROPPED, no raise.
+        # half-dead peer): a closed-loop query sees a "dropped" outcome
+        # and reports DROPPED, no raise.
         network = build_network(batch_lookups=True)
         origin = network.peer_ids()[0]
         victim = probed_owner(network, QUERIES[0], origin)

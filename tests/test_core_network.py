@@ -10,6 +10,7 @@ from repro.core.lattice import ProbeStatus
 from repro.core.network import AlvisNetwork
 from repro.corpus.loader import sample_documents
 from repro.ir.documents import Document
+from repro.net.latency import ConstantLatency, LogNormalLatency
 
 
 class TestSetup:
@@ -52,6 +53,45 @@ class TestSetup:
         for doc_id in ids:
             assert network.doc_owner(doc_id) == network.peer_ids()[0]
         assert network.doc_owner(99999) is None
+
+
+#: Keys resolved by the owner-resolution tests below.
+RESOLVED_KEYS = [(index * 0x9E3779B97F4A7C15) % 2 ** 64
+                 for index in range(1, 41)]
+
+
+class TestOwnerResolution:
+    """The sync routing walk behind ``lookup_owners``: each hop is
+    delivered one by one (``deliver_hop``) when the latency model draws
+    randomness, in bulk otherwise — with identical routing and counters
+    either way."""
+
+    def _resolve(self, latency):
+        network = AlvisNetwork(num_peers=24, seed=5, latency=latency)
+        origin = network.peer_ids()[0]
+        rng_before = network.transport.rng.getstate()
+        owners, messages = network.lookup_owners(origin, RESOLVED_KEYS)
+        metrics = network.simulator.metrics
+        counters = (metrics.counter_value("net.msgs.sent.LookupHop"),
+                    metrics.counter_value("net.bytes.sent.LookupHop"),
+                    metrics.counter_value("net.msgs.sent"),
+                    dict(network.transport.msgs_in),
+                    dict(network.transport.bytes_in))
+        for key_id in RESOLVED_KEYS:
+            assert owners[key_id] == network.owner_peer_of_key(key_id)
+        advanced = network.transport.rng.getstate() != rng_before
+        return owners, messages, counters, advanced
+
+    def test_per_hop_delivery_matches_bulk(self):
+        bulk = self._resolve(ConstantLatency(0.02))
+        per_hop = self._resolve(LogNormalLatency(0.02, 0.5))
+        assert bulk[1] > 0
+        assert bulk[1] == bulk[2][0] == bulk[2][2]
+        assert per_hop[:3] == bulk[:3]
+
+    def test_per_hop_delivery_draws_latency(self):
+        assert not self._resolve(ConstantLatency(0.02))[3]
+        assert self._resolve(LogNormalLatency(0.02, 0.5))[3]
 
 
 class TestStatisticsPhase:

@@ -131,3 +131,94 @@ class TestSession:
             path = scan_route(ring, source, key)
             assert result.per_key_hops[key] == len(path) - 1
 
+
+class TestAsyncWalkUnderChurn:
+    """``lookup_many_async`` while the membership changes under hops in
+    flight: every key still ends at its owner in the final membership,
+    and its hop count is the ``LookupHop`` messages that carried it."""
+
+    #: One-way hop latency of the ``transport_ring`` fixture.
+    LATENCY = 0.02
+
+    @staticmethod
+    def _setup(transport_ring, scan_route, min_path=3):
+        """A 24-node ring over a transport, its first node as the
+        source, and a key whose route visits at least ``min_path``
+        nodes."""
+        simulator, transport, ring = transport_ring(
+            uniform_ids(random.Random(21), 24))
+        source = ring.member_ids[0]
+        rng = random.Random(22)
+        while True:
+            key = rng.getrandbits(64)
+            path = scan_route(ring, source, key)
+            if len(path) >= min_path:
+                return simulator, transport, ring, source, key, path
+
+    @staticmethod
+    def _walk(simulator, ring, source, key):
+        proc = simulator.spawn(ring.lookup_many_async(source, [key]))
+        simulator.run()
+        assert proc.done
+        return proc.result
+
+    @pytest.mark.parametrize("unregister", [False, True],
+                             ids=["left-after-delivery", "dropped-hop"])
+    def test_next_hop_removed_mid_walk(self, transport_ring, scan_route,
+                                       unregister):
+        simulator, transport, ring, source, key, path = self._setup(
+            transport_ring, scan_route)
+        hop = path[1]
+
+        def depart():
+            ring.remove_node(hop)
+            if unregister:
+                transport.unregister(hop)
+
+        simulator.schedule(self.LATENCY / 2, depart)
+        result = self._walk(simulator, ring, source, key)
+        assert result.owners == {key: ring.successor_of(key)}
+        # The first hop carried the key; the rest is a fresh route from
+        # the source over the new membership.
+        rerouted = scan_route(ring, source, key)
+        assert result.per_key_hops[key] == 1 + len(rerouted) - 1
+
+    def test_dropped_hop_from_departed_sender_restarts(self, transport_ring,
+                                                       scan_route):
+        # The second hop is dropped and its sender left meanwhile: the
+        # key restarts from the (live) source.
+        simulator, transport, ring, source, key, path = self._setup(
+            transport_ring, scan_route, min_path=4)
+
+        def depart():
+            ring.remove_node(path[2])
+            transport.unregister(path[2])
+            ring.remove_node(path[1])
+
+        simulator.schedule(self.LATENCY * 1.5, depart)
+        result = self._walk(simulator, ring, source, key)
+        assert result.owners == {key: ring.successor_of(key)}
+        rerouted = scan_route(ring, source, key)
+        assert result.per_key_hops[key] == 2 + len(rerouted) - 1
+
+    @pytest.mark.parametrize("at_hop", [1, 2])
+    def test_sender_and_source_removed(self, transport_ring, scan_route,
+                                       at_hop):
+        # at_hop=1: the node the key reached departs before forwarding
+        # it; at_hop=2: the second hop is dropped (its destination
+        # left) and its sender is gone too.  Either way nothing can
+        # route the key any more, so the ownership oracle answers.
+        simulator, transport, ring, source, key, path = self._setup(
+            transport_ring, scan_route, min_path=at_hop + 2)
+
+        def depart():
+            if at_hop == 2:
+                ring.remove_node(path[2])
+                transport.unregister(path[2])
+            ring.remove_node(path[1])
+            ring.remove_node(source)
+
+        simulator.schedule(self.LATENCY * (at_hop - 0.5), depart)
+        result = self._walk(simulator, ring, source, key)
+        assert result.owners == {key: ring.successor_of(key)}
+        assert result.per_key_hops[key] == at_hop

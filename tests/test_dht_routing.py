@@ -7,13 +7,14 @@ import pytest
 from repro.dht.churn import ChurnProcess
 from repro.dht.idspace import ID_SPACE, random_id
 from repro.dht.node import DHTNode
-from repro.dht.ring import DHTRing
+from repro.dht.ring import HOP_BATCH_BASE_BYTES, HOP_KEY_BYTES, DHTRing
 from repro.dht.routing import (
     HopSpaceFingers,
     NaiveFingers,
     skewed_ids,
     uniform_ids,
 )
+from repro.sim.events import Simulator
 
 
 def _build_ring(ids, strategy):
@@ -393,3 +394,42 @@ class TestBatchedLookupMatchesSingular:
         singular_messages = sum(ring.lookup_many(source, [key]).messages
                                 for key in keys)
         assert batch.messages <= singular_messages
+
+
+class TestAsyncWalkMatchesSync:
+    """Both walks drive one round step: over a fixed membership they
+    route every key alike and send the same hop messages."""
+
+    @pytest.mark.parametrize("with_transport", [False, True],
+                             ids=["free", "accounted"])
+    def test_same_owners_hops_and_messages(self, transport_ring,
+                                           with_transport):
+        ids = uniform_ids(random.Random(27), 60)
+        if with_transport:
+            simulator, _transport, ring = transport_ring(ids)
+        else:
+            simulator, ring = Simulator(), _build_ring(ids, HopSpaceFingers())
+        rng = random.Random(28)
+        keys = [random_id(rng) for _ in range(40)]
+        source = ring.member_ids[7]
+        proc = simulator.spawn(ring.lookup_many_async(source, keys))
+        simulator.run()
+        walked = proc.result
+        routed = ring.lookup_many(source, keys)
+        assert walked.owners == routed.owners
+        assert walked.per_key_hops == routed.per_key_hops
+        assert walked.messages == routed.messages == \
+            len(walked.message_batches) > 0
+        assert walked.retransmissions == 0
+        # Accounted iff the ring has a transport.
+        assert walked.message_bytes == [
+            HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES * len(batch)
+            if with_transport else 0
+            for batch in walked.message_batches]
+        sent = simulator.metrics.counter_value("net.msgs.sent.LookupHop")
+        assert sent == (2 * routed.messages if with_transport else 0)
+
+    def test_unknown_source_rejected(self):
+        ring = _build_ring([10, 20, 30], HopSpaceFingers())
+        with pytest.raises(KeyError):
+            next(ring.lookup_many_async(99, [5]))

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.core.network import AlvisNetwork
 from repro.ir.postings import Posting, PostingList
 from repro.net import protocol
 from repro.net.message import Message
@@ -292,3 +293,36 @@ class TestAccounting:
         assert host.bytes_in[42] > 0
         host.reset_load_counters()
         assert host.bytes_in == {42: 0}
+
+
+class TestRingLookupOverUdp:
+    def test_lookup_many_matches_sim_transport(self):
+        # The sync routing walk over a transport without a hop fast
+        # path: one LookupHop request per hop, accounted like the
+        # simulator's bulk hop delivery.
+        keys = [(index * 0x9E3779B97F4A7C15) % 2 ** 64
+                for index in range(1, 25)]
+        sim = AlvisNetwork(num_peers=12, seed=3)
+        twin = AlvisNetwork(num_peers=12, seed=3)
+        udp = UdpTransport(metrics=twin.simulator.metrics,
+                           default_timeout=REQUEST_TIMEOUT).start()
+        try:
+            twin.attach_transport(udp)
+            for peer_id in twin.peer_ids():
+                udp.register(peer_id, twin.peer(peer_id))
+            origin = sim.peer_ids()[0]
+            expected = sim.lookup_owners(origin, keys)
+            assert twin.lookup_owners(origin, keys) == expected
+        finally:
+            udp.close()
+        assert expected[1] > 0
+        for name in ("net.msgs.sent.LookupHop", "net.bytes.sent.LookupHop"):
+            assert twin.simulator.metrics.counter_value(name) == \
+                sim.simulator.metrics.counter_value(name)
+        for received in ("msgs_in", "bytes_in"):
+            assert _nonzero(getattr(udp, received)) == \
+                _nonzero(getattr(sim.transport, received))
+
+
+def _nonzero(counts):
+    return {peer: count for peer, count in counts.items() if count}
