@@ -6,9 +6,13 @@ retrieval [11]... the transmitted posting lists never exceed a constant
 size" (Sections 1-2).
 
 Series reproduced: bytes per multi-keyword query as the collection grows,
-for (a) the single-term full-list baseline, naive and pipelined, and
-(b) AlvisP2P with HDK.  Expected shape: baseline bytes grow roughly
-linearly with the collection; HDK bytes stay near-constant.
+for (a) the single-term full-list baseline with its fetch-all, pipelined
+and Bloom-filter intersections, and (b) AlvisP2P with HDK.  The baseline
+is the same network: an ``AlvisNetwork`` whose ``truncation_k`` covers
+the whole collection, built with ``build_index("single")`` and queried
+through :func:`repro.baselines.single_term.single_term_query`.  Expected
+shape: baseline bytes grow roughly linearly with the collection; HDK
+bytes stay near-constant.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, make_network
-from repro.baselines.single_term import SingleTermNetwork
+from repro.baselines.single_term import single_term_query
+from repro.core.config import AlvisConfig
+from repro.core.network import AlvisNetwork
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.eval.reporting import print_table
 from repro.ir.analysis import Analyzer
@@ -54,17 +60,26 @@ def _corpus(num_docs):
         seed=BENCH_SEED))
 
 
-def _baseline_bytes(corpus, queries, mode):
-    network = SingleTermNetwork(num_peers=_NUM_PEERS, seed=BENCH_SEED)
+def _baseline_network(corpus):
+    """The untruncated single-term index over ``corpus``."""
+    network = AlvisNetwork(
+        num_peers=_NUM_PEERS, seed=BENCH_SEED,
+        config=AlvisConfig(truncation_k=corpus.num_documents))
     network.distribute_documents(corpus.documents())
-    network.run_statistics_phase()
-    network.build_index()
+    network.build_index(mode="single")
+    return network
+
+
+def _baseline_run(network, queries, mode):
+    """``(bytes summary, top-k per query)`` of one intersection mode."""
     samples = []
+    results = []
     for index, query in enumerate(queries):
         origin = network.peer_ids()[index % _NUM_PEERS]
-        trace = network.query(origin, query, mode=mode)
+        trace = single_term_query(network, origin, query, mode=mode)
         samples.append(trace.bytes_sent)
-    return summarize(samples)
+        results.append(trace.results)
+    return summarize(samples), results
 
 
 def _alvis_bytes(corpus, queries):
@@ -78,18 +93,29 @@ def _alvis_bytes(corpus, queries):
 
 
 @pytest.fixture(scope="module")
-def e2_series():
-    rows = []
+def e2_runs():
+    """Per scale: ``{mode: (bytes summary, top-k per query)}`` for the
+    three baseline modes, plus HDK's bytes summary under ``"hdk"``."""
+    runs = {}
     for num_docs in _SCALES:
         corpus = _corpus(num_docs)
         queries = _frequent_queries(corpus)
-        fetch_all = _baseline_bytes(corpus, queries, "fetch_all")
-        pipelined = _baseline_bytes(corpus, queries, "pipelined")
-        bloom = _baseline_bytes(corpus, queries, "bloom")
-        hdk = _alvis_bytes(corpus, queries)
-        rows.append([num_docs, fetch_all["mean"], pipelined["mean"],
-                     bloom["mean"], hdk["mean"],
-                     fetch_all["mean"] / max(1.0, hdk["mean"])])
+        baseline = _baseline_network(corpus)
+        runs[num_docs] = {mode: _baseline_run(baseline, queries, mode)
+                          for mode in ("fetch_all", "pipelined", "bloom")}
+        runs[num_docs]["hdk"] = (_alvis_bytes(corpus, queries), None)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def e2_series(e2_runs):
+    rows = []
+    for num_docs, run in e2_runs.items():
+        fetch_all, pipelined, bloom, hdk = (
+            run[mode][0]["mean"]
+            for mode in ("fetch_all", "pipelined", "bloom", "hdk"))
+        rows.append([num_docs, fetch_all, pipelined, bloom, hdk,
+                     fetch_all / max(1.0, hdk)])
     return rows
 
 
@@ -124,3 +150,12 @@ def test_e2_shape_holds(e2_series):
     for row in e2_series:
         assert row[1] > row[4]                 # fetch-all loses
         assert row[3] > row[4]                 # bloom loses too
+
+
+def test_e2_modes_agree(e2_runs):
+    """The three intersection strategies are three costs of one answer:
+    every query's top-k, scores included, is identical across them."""
+    for run in e2_runs.values():
+        assert any(run["fetch_all"][1])
+        assert run["pipelined"][1] == run["fetch_all"][1]
+        assert run["bloom"][1] == run["fetch_all"][1]

@@ -7,7 +7,9 @@ peer population, and the orchestration of the global phases:
    totals through the DHT, then let every peer prefetch the statistics it
    needs for publish-time scoring;
 2. :meth:`build_index` — construct the global index with the chosen
-   strategy (``"hdk"``, ``"qdi"`` or ``"single"``);
+   strategy (``"hdk"``, ``"qdi"`` or ``"single"``; ``"single"`` with
+   ``truncation_k`` at or above the collection size is the unscalable
+   single-term baseline of :mod:`repro.baselines.single_term`);
 3. :meth:`query` — multi-keyword retrieval from any peer;
 4. churn (:meth:`churn`) with byte-accounted index handover.
 
@@ -32,7 +34,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 
 from repro.core.access import AccessPolicy
 from repro.core.config import AlvisConfig
-from repro.core.global_stats import COLLECTION_KEY_ID
+from repro.core.global_stats import COLLECTION_KEY_ID, CollectionTotals
 from repro.core.hdk import HDKIndexer, HDKStats
 from repro.core.keys import Key
 from repro.core.peer import AlvisPeer
@@ -393,7 +395,6 @@ class AlvisNetwork:
                                     collection_owner[peer.peer_id],
                                     protocol.COLLECTION_GET, {})
             assert reply is not None
-            from repro.core.global_stats import CollectionTotals
             totals = CollectionTotals(num_documents=int(reply["docs"]),
                                       total_terms=int(reply["terms"]),
                                       num_peers=int(reply["peers"]))
@@ -437,9 +438,10 @@ class AlvisNetwork:
 
         ``"hdk"`` — full HDK rounds; ``"qdi"`` — single-term base plus
         query-driven managers at every peer; ``"single"`` — single-term
-        base only (the unscalable-baseline comparison uses
-        :mod:`repro.baselines.single_term` instead, which keeps *full*
-        lists).
+        base only.  ``"single"`` with ``config.truncation_k`` at or above
+        the collection size keeps every term's *full* list: that index
+        is the unscalable single-term baseline, queried through
+        :func:`repro.baselines.single_term.single_term_query`.
         """
         if not self._statistics_done:
             self.run_statistics_phase()

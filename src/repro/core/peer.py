@@ -26,6 +26,7 @@ from repro.core.keys import Key
 from repro.core.qdi import QDIManager
 from repro.core.services import NetworkServices
 from repro.ir.analysis import Analyzer
+from repro.ir.bloom import BloomFilter
 from repro.ir.documents import Document
 from repro.ir.postings import PostingList
 from repro.ir.search import LocalSearchEngine
@@ -61,7 +62,7 @@ class AlvisPeer:
 
     #: Class-level dispatch table (kind -> handler method name).  Shared
     #: by every peer instead of a per-instance dict of bound methods —
-    #: at 100k peers the 17 bound-method entries per peer dominate the
+    #: at 100k peers the 20 bound-method entries per peer dominate the
     #: per-peer footprint for otherwise-empty peers.
     _HANDLER_NAMES: Dict[str, str] = {
         protocol.LOOKUP_HOP: "_on_lookup_hop",
@@ -81,6 +82,9 @@ class AlvisPeer:
         protocol.RETRACT_DOC: "_on_retract_doc",
         protocol.HANDOVER: "_on_handover",
         protocol.REPLICA_PUSH: "_on_replica_push",
+        protocol.TERM_SCORES: "_on_term_scores",
+        protocol.BLOOM_GET: "_on_bloom_get",
+        protocol.BLOOM_MATCH: "_on_bloom_match",
     }
 
     # ------------------------------------------------------------------
@@ -244,6 +248,37 @@ class AlvisPeer:
         return message.reply(protocol.HARVEST_REPLY,
                              {"postings": postings,
                               "local_df": postings.global_df})
+
+    # -- single-term intersection (the E2 baseline) ---------------------------
+
+    def _term_postings(self, term: str) -> PostingList:
+        """The postings this peer holds under ``term``'s single-term key."""
+        entry = self.fragment.get(Key([term]))
+        return entry.postings if entry is not None else PostingList()
+
+    def _on_term_scores(self, message: Message) -> Optional[Message]:
+        """This term's scores for the requested documents that it lists
+        (a pipelined intersection step, or a Bloom candidate check)."""
+        scores = {posting.doc_id: posting.score
+                  for posting in self._term_postings(message.payload["term"])}
+        found = {doc_id: scores[doc_id]
+                 for doc_id in (int(raw) for raw in message.payload["doc_ids"])
+                 if doc_id in scores}
+        return message.reply(protocol.TERM_SCORES_REPLY, {"scores": found})
+
+    def _on_bloom_get(self, message: Message) -> Optional[Message]:
+        postings = self._term_postings(message.payload["term"])
+        return message.reply(protocol.BLOOM_REPLY,
+                             {"bloom": BloomFilter.of(postings.doc_ids())})
+
+    def _on_bloom_match(self, message: Message) -> Optional[Message]:
+        bloom: BloomFilter = message.payload["bloom"]
+        matches = [posting
+                   for posting in self._term_postings(message.payload["term"])
+                   if posting.doc_id in bloom]
+        return message.reply(
+            protocol.BLOOM_MATCH_REPLY,
+            {"postings": PostingList(matches, global_df=len(matches))})
 
     # -- two-step refinement and document access ------------------------------
 

@@ -40,8 +40,8 @@ def traffic_breakdown(bytes_by_kind: Mapping[str, float]
 
     Lookup hops are counted as routing; everything in
     ``protocol.INDEXING_KINDS`` as indexing; the remaining retrieval-path
-    kinds as retrieval; unknown kinds (e.g. baseline-specific ones) are
-    kept under ``other`` so nothing silently disappears.
+    kinds as retrieval; unknown kinds are kept under ``other`` so
+    nothing silently disappears.
     """
     routing = indexing = retrieval = other = 0.0
     retrieval_kinds = set(protocol.RETRIEVAL_KINDS) - {protocol.LOOKUP_HOP}

@@ -9,13 +9,20 @@ experiment E2 reproduces, is that this buys a constant factor only — the
 filter still grows linearly with the posting list, so multi-keyword
 traffic remains unscalable.  AlvisP2P's answer is structural (bounded,
 truncated lists per *combination*), not a better intersection.
+
+**Packed wire encoding.**  :meth:`BloomFilter.pack` is the layout the
+wire codec (:mod:`repro.net.wire`) sends and ``wire_size()`` charges: an
+8-byte header (bit count, 4 B; hash count, 1 B; insertions, 3 B,
+saturating) followed by the bit array, big-endian, in
+``ceil(num_bits / 8)`` bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, List
+import struct
+from typing import Iterable, List, Tuple
 
 __all__ = ["BloomFilter"]
 
@@ -27,6 +34,10 @@ class BloomFilter:
     Python int (arbitrary-precision bit operations are fast enough at
     laptop scale).
     """
+
+    #: Wire header: bit count, hash count, insertions (3 bytes).
+    _HEADER = struct.Struct(">IB3s")
+    HEADER_BYTES = 8
 
     def __init__(self, capacity: int, false_positive_rate: float = 0.01):
         if capacity < 0:
@@ -75,7 +86,36 @@ class BloomFilter:
 
     def wire_size(self) -> int:
         """Bytes on the wire: the bit array plus a small header."""
-        return 8 + (self.num_bits + 7) // 8
+        return self.HEADER_BYTES + (self.num_bits + 7) // 8
+
+    def pack(self) -> bytes:
+        """The packed wire form, exactly ``wire_size()`` bytes long."""
+        count = min(self.count, 0xFFFFFF).to_bytes(3, "big")
+        return (self._HEADER.pack(self.num_bits, self.num_hashes, count)
+                + self._bits.to_bytes((self.num_bits + 7) // 8, "big"))
+
+    @classmethod
+    def unpack(cls, data: bytes, offset: int) -> Tuple["BloomFilter", int]:
+        """Decode the packed filter at ``offset``; returns the filter and
+        the offset just past it.  Raises ``ValueError`` on a short or
+        malformed encoding."""
+        end = offset + cls.HEADER_BYTES
+        if end > len(data):
+            raise ValueError("bloom filter header truncated")
+        num_bits, num_hashes, count = cls._HEADER.unpack_from(data, offset)
+        if num_bits < 1 or num_hashes < 1:
+            raise ValueError(f"malformed bloom filter header "
+                             f"({num_bits} bits, {num_hashes} hashes)")
+        start, end = end, end + (num_bits + 7) // 8
+        if end > len(data):
+            raise ValueError("bloom filter bit array truncated")
+        instance = cls.__new__(cls)
+        instance.num_bits = num_bits
+        instance.num_hashes = num_hashes
+        instance.count = int.from_bytes(count, "big")
+        instance._bits = (int.from_bytes(data[start:end], "big")
+                          & ((1 << num_bits) - 1))
+        return instance, end
 
     @classmethod
     def of(cls, items: Iterable[int],

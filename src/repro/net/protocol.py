@@ -41,6 +41,12 @@ __all__ = [
     "RETRACT_DOC",
     "HANDOVER",
     "REPLICA_PUSH",
+    "TERM_SCORES",
+    "TERM_SCORES_REPLY",
+    "BLOOM_GET",
+    "BLOOM_REPLY",
+    "BLOOM_MATCH",
+    "BLOOM_MATCH_REPLY",
     "INDEXING_KINDS",
     "RETRIEVAL_KINDS",
 ]
@@ -89,6 +95,17 @@ HANDOVER = "IndexHandover"
 # Replication (crash fault tolerance) -----------------------------------
 REPLICA_PUSH = "ReplicaPush"        #: owner -> successor, full entry batch
 
+# Single-term intersection (the E2 baseline) ----------------------------
+# Owner-side legs of the conjunctive strategies in
+# :mod:`repro.baselines.single_term`, served from an untruncated
+# single-term index; whole lists are fetched with ``ProbeKey``.
+TERM_SCORES = "TermScores"          #: doc ids -> this term's scores for them
+TERM_SCORES_REPLY = "TermScoresReply"
+BLOOM_GET = "BloomGet"              #: Bloom filter of a term's doc ids
+BLOOM_REPLY = "BloomReply"
+BLOOM_MATCH = "BloomMatch"          #: a term's postings passing a filter
+BLOOM_MATCH_REPLY = "BloomMatchReply"
+
 #: Kind groups used by the bandwidth breakdowns.
 INDEXING_KINDS = (DF_PUBLISH, DF_GET, DF_REPLY, COLLECTION_PUBLISH,
                   COLLECTION_GET, COLLECTION_REPLY, PUBLISH_KEY,
@@ -97,4 +114,6 @@ INDEXING_KINDS = (DF_PUBLISH, DF_GET, DF_REPLY, COLLECTION_PUBLISH,
                   RETRACT_DOC)
 RETRIEVAL_KINDS = (PROBE_KEY, PROBE_REPLY, PROBE_BATCH,
                    PROBE_BATCH_REPLY, FEEDBACK, REFINE_QUERY,
-                   REFINE_REPLY, LOOKUP_HOP)
+                   REFINE_REPLY, LOOKUP_HOP, TERM_SCORES,
+                   TERM_SCORES_REPLY, BLOOM_GET, BLOOM_REPLY, BLOOM_MATCH,
+                   BLOOM_MATCH_REPLY)

@@ -3,7 +3,8 @@
 Serializes every :class:`~repro.net.message.Message` kind on the query
 path (``LookupHop``, ``ProbeBatch``, probe/lookup replies, the
 HDK-keyed payloads of refinement, document access and the statistics
-protocol) into self-contained datagrams, and back.
+protocol, and the single-term baseline's intersection legs) into
+self-contained datagrams, and back.
 
 **Size reconciliation.**  The simulator's bandwidth results rest on the
 per-field size model of :func:`repro.net.message.encoded_size`; this
@@ -16,7 +17,8 @@ codec is written so the model is *exact* for every supported kind:
   prefix per container, field names as 2-byte-length UTF-8 strings,
   8-byte ints/ids/floats, 1-byte bools, posting lists in their
   ``wire_size()`` layout (8-byte global df, truncation flag, 4-byte
-  count, 16 bytes per posting).
+  count, 16 bytes per posting), Bloom filters in theirs (8-byte header
+  plus the bit array).
 
 ``len(encode(message)) == message.size_bytes() + WIRE_SIZE_DELTA`` with
 ``WIRE_SIZE_DELTA`` pinned to **0** — asserted for every supported kind
@@ -44,6 +46,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.net import protocol
 from repro.net.message import HEADER_BYTES, Message
+from repro.ir.bloom import BloomFilter
 from repro.ir.postings import (POSTING_WIRE_BYTES, PostingList,
                                pack_postings, unpack_entries)
 
@@ -112,6 +115,7 @@ class UnsupportedKindError(WireError):
 #   ("struct", {name: spec})       encoded like a payload dict
 #   ("opt", spec)                  None as one 0xFF byte, else spec
 #   "postings"                     PostingList.wire_size() layout
+#   "bloom"                        BloomFilter.wire_size() layout
 #
 # A payload only encodes the fields it actually carries (the 4-byte
 # container prefix doubles as the field count), so variant payloads —
@@ -153,6 +157,12 @@ _SCHEMAS: Dict[str, Dict[str, Any]] = {
                          "snippet": "str", "error": "str"},
     protocol.RETRACT_DOC: {"key_terms": ("list", "str"), "doc_id": "id",
                            "contributor": "id", "new_local_df": "int"},
+    protocol.TERM_SCORES: {"term": "str", "doc_ids": ("list", "id")},
+    protocol.TERM_SCORES_REPLY: {"scores": ("map", "id", "float")},
+    protocol.BLOOM_GET: {"term": "str"},
+    protocol.BLOOM_REPLY: {"bloom": "bloom"},
+    protocol.BLOOM_MATCH: {"term": "str", "bloom": "bloom"},
+    protocol.BLOOM_MATCH_REPLY: {"postings": "postings"},
     # Wire-internal control traffic (cluster bootstrap + delivery acks).
     ACK: {},
     ERR: {"error": "str"},
@@ -171,6 +181,8 @@ _KIND_ORDER = (
     protocol.HARVEST_KEY, protocol.HARVEST_REPLY, protocol.REFINE_QUERY,
     protocol.REFINE_REPLY, protocol.DOC_FETCH, protocol.DOC_REPLY,
     protocol.RETRACT_DOC, ACK, ERR, HELLO, WELCOME, BYE,
+    protocol.TERM_SCORES, protocol.TERM_SCORES_REPLY, protocol.BLOOM_GET,
+    protocol.BLOOM_REPLY, protocol.BLOOM_MATCH, protocol.BLOOM_MATCH_REPLY,
 )
 
 _KIND_TO_TAG = {kind: tag for tag, kind in enumerate(_KIND_ORDER, start=1)}
@@ -228,6 +240,8 @@ def _encode_value(out: bytearray, spec: Any, value: Any,
         out += data
     elif spec == "postings":
         out += pack_postings(value)
+    elif spec == "bloom":
+        out += value.pack()
     elif spec[0] == "list":
         items = list(value)
         out += struct.pack(">I", len(items))
@@ -366,6 +380,13 @@ def _decode_value(reader: _Reader, spec: Any, context: str) -> Any:
         return _decode_utf8(reader.take(length), context)
     if spec == "postings":
         return _decode_postings(reader, context)
+    if spec == "bloom":
+        try:
+            bloom, reader.offset = BloomFilter.unpack(reader.data,
+                                                      reader.offset)
+        except ValueError as error:
+            raise TruncatedDatagramError(f"{context}: {error}") from error
+        return bloom
     if spec[0] == "list":
         count = _decode_count(reader, context)
         return [_decode_value(reader, spec[1], context)

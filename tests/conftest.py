@@ -7,12 +7,16 @@ destructively (tests that need mutation build their own small network).
 
 from __future__ import annotations
 
+import hashlib
 import random
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.single_term import single_term_query
 from repro.core.config import AlvisConfig
+from repro.core.lattice import ProbeStatus
 from repro.core.network import AlvisNetwork
 from repro.corpus.loader import sample_documents
 from repro.corpus.queries import QueryWorkload, QueryWorkloadConfig
@@ -155,3 +159,98 @@ def tiny_network() -> AlvisNetwork:
     network.distribute_documents(sample_documents())
     network.build_index(mode="hdk")
     return network
+
+
+@pytest.fixture(scope="session")
+def single_term_baseline():
+    """``single_term_baseline(documents, num_peers, seed)`` -> the E2
+    baseline: an ``AlvisNetwork`` whose ``truncation_k`` covers the whole
+    collection, built with ``build_index("single")``, so every term's
+    list is complete."""
+
+    def build(documents, num_peers=8, seed=0):
+        network = AlvisNetwork(
+            num_peers=num_peers, seed=seed,
+            config=AlvisConfig(truncation_k=len(documents)))
+        network.distribute_documents(documents)
+        network.build_index(mode="single")
+        return network
+
+    return build
+
+
+def _sha1(rows) -> str:
+    return hashlib.sha1(repr(rows).encode()).hexdigest()
+
+
+def _baseline_index_rows(network):
+    """``(term, owner, [(doc_id, score.hex())])`` per single-term entry,
+    sorted: the exact content of a baseline index."""
+    return sorted((entry.key.terms[0], peer.peer_id,
+                   [(posting.doc_id, posting.score.hex())
+                    for posting in entry.postings])
+                  for peer in network.peers() for entry in peer.fragment)
+
+
+def _baseline_topk_rows(network, queries, mode):
+    """Each query's top-k with exact scores, origins round-robin."""
+    ids = network.peer_ids()
+    rows = []
+    for index, terms in enumerate(queries):
+        trace = single_term_query(network, ids[index % len(ids)], terms,
+                                  mode=mode)
+        rows.append((tuple(terms), [(doc_id, score.hex())
+                                    for doc_id, score in trace.results]))
+    return rows
+
+
+@pytest.fixture(scope="session")
+def baseline_digests():
+    """sha1 digests pinning a baseline's index (``index(network)``) and
+    one mode's top-k over a query list (``topk(network, queries,
+    mode)``), scores compared bit for bit."""
+    return SimpleNamespace(
+        index=lambda network: _sha1(_baseline_index_rows(network)),
+        topk=lambda network, queries, mode: _sha1(
+            _baseline_topk_rows(network, queries, mode)))
+
+
+def _list_completeness(network, traces=()):
+    """Check every global-index entry against the documents it covers.
+
+    An entry is *partial* when the number of documents matching all of
+    its key's terms, summed over every peer's local index, differs from
+    the entry's ``global_df``.  Returns the single- and multi-term entry
+    and partial counts, ``partial_list_share`` (partial share of the
+    multi-term entries) and ``multi_term_hit_share`` (share of the
+    ``traces``' found probes that a multi-term key answered).
+    """
+    true_df = {}
+    counts = {"single": 0, "single_partial": 0,
+              "multi": 0, "multi_partial": 0}
+    for owner in network.peers():
+        for entry in owner.fragment:
+            terms = entry.key.terms
+            if terms not in true_df:
+                true_df[terms] = sum(
+                    len(peer.engine.index.documents_with_all(terms))
+                    for peer in network.peers())
+            size = "single" if len(terms) == 1 else "multi"
+            counts[size] += 1
+            if true_df[terms] != entry.global_df:
+                counts[size + "_partial"] += 1
+    found = [key for trace in traces for key, status in trace.probes
+             if status in (ProbeStatus.UNTRUNCATED, ProbeStatus.TRUNCATED)]
+    return SimpleNamespace(
+        **counts,
+        partial_list_share=(counts["multi_partial"] / counts["multi"]
+                            if counts["multi"] else 0.0),
+        multi_term_hit_share=(sum(1 for key in found if len(key) > 1)
+                              / len(found) if found else 0.0))
+
+
+@pytest.fixture(scope="session")
+def list_completeness():
+    """``list_completeness(network, traces=())``: the list-completeness
+    check (ROADMAP 1a); see :func:`_list_completeness`."""
+    return _list_completeness

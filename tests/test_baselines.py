@@ -3,10 +3,18 @@
 import pytest
 
 from repro.baselines.centralized import CentralizedEngine
-from repro.baselines.single_term import SingleTermNetwork
+from repro.baselines.single_term import single_term_query
+from repro.core.config import AlvisConfig
+from repro.core.network import AlvisNetwork
 from repro.corpus.loader import sample_documents
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.ir.analysis import Analyzer
+
+#: sha1 pins of ``baseline_net``: its index as sorted
+#: ``(term, owner, [(doc_id, score.hex())])`` rows, and the top-k with
+#: exact scores of ``_pinned_queries``, the same in all three modes.
+INDEX_DIGEST = "f25d31bb2a79e73dcf34bab8710bf64a283b423b"
+TOPK_DIGEST = "3557dc5025423d234af500a0b759366aa2577060"
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +24,9 @@ def baseline_corpus():
 
 
 @pytest.fixture(scope="module")
-def baseline_net(baseline_corpus):
-    network = SingleTermNetwork(num_peers=8, seed=24)
-    network.distribute_documents(baseline_corpus.documents())
-    network.run_statistics_phase()
-    network.build_index()
-    return network
+def baseline_net(baseline_corpus, single_term_baseline):
+    return single_term_baseline(baseline_corpus.documents(), num_peers=8,
+                                seed=24)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,17 @@ def _some_query(baseline_corpus, index=0, size=2):
     return distinct[:size]
 
 
+def _term_lists(network):
+    """term -> its full posting list, read from the owners' fragments."""
+    return {entry.key.terms[0]: entry.postings
+            for peer in network.peers() for entry in peer.fragment}
+
+
+def _pinned_queries(baseline_corpus):
+    return [_some_query(baseline_corpus, index=index, size=size)
+            for index in range(12) for size in (1, 2, 3)]
+
+
 class TestCentralizedEngine:
     def test_counts(self, centralized):
         assert centralized.num_documents == 80
@@ -58,6 +74,18 @@ class TestCentralizedEngine:
         assert set(conjunctive) <= set(disjunctive)
 
 
+class TestPinnedDigests:
+    def test_index_digest(self, baseline_net, baseline_digests):
+        assert baseline_digests.index(baseline_net) == INDEX_DIGEST
+
+    @pytest.mark.parametrize("mode", ["fetch_all", "pipelined", "bloom"])
+    def test_topk_digest(self, baseline_net, baseline_corpus,
+                         baseline_digests, mode):
+        assert baseline_digests.topk(
+            baseline_net, _pinned_queries(baseline_corpus), mode) == \
+            TOPK_DIGEST
+
+
 class TestSingleTermBaseline:
     def test_full_lists_stored(self, baseline_net, centralized):
         # Every posting of every term must be in the global index: the
@@ -65,66 +93,62 @@ class TestSingleTermBaseline:
         expected = sum(
             centralized.engine.index.document_frequency(term)
             for term in centralized.engine.index.vocabulary())
-        assert baseline_net.total_postings_stored() == expected
+        assert sum(baseline_net.per_peer_postings().values()) == expected
 
     def test_fetch_all_matches_centralized_conjunctive(
             self, baseline_net, centralized, baseline_corpus):
         for index in (0, 7, 19):
             terms = _some_query(baseline_corpus, index=index)
-            trace = baseline_net.query(baseline_net.peer_ids()[0], terms,
-                                       mode="fetch_all")
+            trace = single_term_query(baseline_net,
+                                      baseline_net.peer_ids()[0], terms,
+                                      mode="fetch_all")
             expected = centralized.conjunctive_doc_ids(terms, k=10)
             assert [doc_id for doc_id, _ in trace.results] == expected
 
     def test_pipelined_equals_fetch_all(self, baseline_net,
                                         baseline_corpus):
+        origin = baseline_net.peer_ids()[1]
         for index in (2, 11):
             terms = _some_query(baseline_corpus, index=index, size=3)
-            a = baseline_net.query(baseline_net.peer_ids()[1], terms,
-                                   mode="fetch_all")
-            b = baseline_net.query(baseline_net.peer_ids()[1], terms,
-                                   mode="pipelined")
+            a = single_term_query(baseline_net, origin, terms,
+                                  mode="fetch_all")
+            b = single_term_query(baseline_net, origin, terms,
+                                  mode="pipelined")
             assert a.results == b.results
 
     def test_bytes_grow_with_posting_volume(self, baseline_net,
                                             baseline_corpus):
-        analyzer = Analyzer()
         # One-term queries: wire bytes must scale with the list length.
-        counts = {}
-        for peer in baseline_net.peers():
-            for term in peer.term_store:
-                counts[term] = len(peer.term_store[term])
+        counts = {term: len(postings)
+                  for term, postings in _term_lists(baseline_net).items()}
         frequent = max(counts, key=counts.get)
         rare = min(counts, key=counts.get)
         origin = baseline_net.peer_ids()[0]
-        trace_frequent = baseline_net.query(origin, [frequent],
-                                            mode="fetch_all")
-        trace_rare = baseline_net.query(origin, [rare], mode="fetch_all")
+        trace_frequent = single_term_query(baseline_net, origin, [frequent],
+                                           mode="fetch_all")
+        trace_rare = single_term_query(baseline_net, origin, [rare],
+                                       mode="fetch_all")
         assert counts[frequent] > counts[rare]
         assert trace_frequent.bytes_sent > trace_rare.bytes_sent
 
     def test_pipelined_ships_less_for_frequent_pairs(self, baseline_net):
         # For two frequent terms, pipelined transfers bound the second
         # leg by the intersection size, so it moves fewer postings.
-        counts = {}
-        for peer in baseline_net.peers():
-            for term, plist in peer.term_store.items():
-                counts[term] = len(plist)
+        counts = {term: len(postings)
+                  for term, postings in _term_lists(baseline_net).items()}
         frequent_terms = sorted(counts, key=counts.get,
                                 reverse=True)[:2]
         origin = baseline_net.peer_ids()[2]
-        fetch = baseline_net.query(origin, frequent_terms,
-                                   mode="fetch_all")
-        piped = baseline_net.query(origin, frequent_terms,
-                                   mode="pipelined")
+        fetch = single_term_query(baseline_net, origin, frequent_terms,
+                                  mode="fetch_all")
+        piped = single_term_query(baseline_net, origin, frequent_terms,
+                                  mode="pipelined")
         assert piped.postings_transferred <= fetch.postings_transferred
 
     def test_empty_conjunction(self, baseline_net):
         # Terms that never co-occur: empty result, no crash.
-        counts = {}
-        for peer in baseline_net.peers():
-            for term, plist in peer.term_store.items():
-                counts.setdefault(term, set()).update(plist.doc_ids())
+        counts = {term: set(postings.doc_ids())
+                  for term, postings in _term_lists(baseline_net).items()}
         terms = sorted(counts)
         disjoint_pair = None
         for i, a in enumerate(terms):
@@ -136,30 +160,36 @@ class TestSingleTermBaseline:
                 break
         if disjoint_pair is None:
             pytest.skip("corpus has no disjoint term pair")
-        trace = baseline_net.query(baseline_net.peer_ids()[0],
-                                   disjoint_pair, mode="pipelined")
+        trace = single_term_query(baseline_net, baseline_net.peer_ids()[0],
+                                  disjoint_pair, mode="pipelined")
         assert trace.results == []
 
-    def test_invalid_inputs(self, baseline_net):
+    def test_invalid_inputs(self, baseline_net, baseline_corpus):
+        origin = baseline_net.peer_ids()[0]
         with pytest.raises(ValueError):
-            baseline_net.query(baseline_net.peer_ids()[0], [],
-                               mode="fetch_all")
+            single_term_query(baseline_net, origin, [], mode="fetch_all")
         with pytest.raises(ValueError):
-            baseline_net.query(baseline_net.peer_ids()[0], ["x"],
-                               mode="bogus")
+            single_term_query(baseline_net, origin, ["x"], mode="bogus")
+        # Only a complete single-term index is the baseline: not an
+        # unbuilt network, not truncated lists.
+        unbuilt = AlvisNetwork(num_peers=2, seed=24)
         with pytest.raises(ValueError):
-            SingleTermNetwork(num_peers=0)
+            single_term_query(unbuilt, unbuilt.peer_ids()[0], ["x"])
+        truncated = AlvisNetwork(num_peers=2, seed=24,
+                                 config=AlvisConfig(truncation_k=20))
+        truncated.distribute_documents(baseline_corpus.documents())
+        truncated.build_index(mode="single")
+        with pytest.raises(ValueError):
+            single_term_query(truncated, truncated.peer_ids()[0], ["x"])
 
 
 class TestScalabilityContrast:
-    def test_alvis_bytes_do_not_grow_with_corpus_baseline_bytes_do(self):
+    def test_alvis_bytes_do_not_grow_with_corpus_baseline_bytes_do(
+            self, single_term_baseline):
         """The paper's headline scalability claim (experiment E2 in
         miniature): as the collection grows, per-query retrieval bytes
         grow for the single-term baseline but stay bounded for AlvisP2P.
         """
-        from repro.core.config import AlvisConfig
-        from repro.core.network import AlvisNetwork
-
         def frequent_pair(corpus):
             analyzer = Analyzer()
             counts = {}
@@ -175,12 +205,10 @@ class TestScalabilityContrast:
             corpus = SyntheticCorpus(SyntheticCorpusConfig(
                 num_documents=num_docs, vocabulary_size=500, seed=29))
             terms = frequent_pair(corpus)
-            baseline = SingleTermNetwork(num_peers=8, seed=30)
-            baseline.distribute_documents(corpus.documents())
-            baseline.run_statistics_phase()
-            baseline.build_index()
-            baseline_trace = baseline.query(baseline.peer_ids()[0],
-                                            terms, mode="fetch_all")
+            baseline = single_term_baseline(corpus.documents(),
+                                            num_peers=8, seed=30)
+            baseline_trace = single_term_query(
+                baseline, baseline.peer_ids()[0], terms, mode="fetch_all")
             alvis = AlvisNetwork(num_peers=8, config=AlvisConfig(),
                                  seed=30)
             alvis.distribute_documents(corpus.documents())

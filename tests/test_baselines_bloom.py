@@ -1,13 +1,19 @@
 """Tests for the Bloom filter and the bloom intersection mode."""
 
+import itertools
 import random
 
 import pytest
 
-from repro.baselines.bloom import BloomFilter
-from repro.baselines.single_term import SingleTermNetwork
+from repro.baselines.single_term import single_term_query
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
-from repro.ir.analysis import Analyzer
+from repro.ir.bloom import BloomFilter
+
+#: sha1 pins of ``bloom_net``, as in ``tests/test_baselines.py``: its
+#: index, and the top-k with exact scores of ``_pinned_queries``, the
+#: same in all three modes.
+INDEX_DIGEST = "51c4dd5695a8a3e80b4a0a1a6e59320ac3a15953"
+TOPK_DIGEST = "2c62626f30f124c0db251c7fff1b05156f4c442e"
 
 
 class TestBloomFilter:
@@ -58,46 +64,66 @@ class TestBloomFilter:
 
 
 @pytest.fixture(scope="module")
-def bloom_net():
+def bloom_net(single_term_baseline):
     # Large enough that frequent posting lists dwarf per-message
     # overheads — the regime where Bloom filters matter at all.
     corpus = SyntheticCorpus(SyntheticCorpusConfig(
         num_documents=300, vocabulary_size=600, seed=61))
-    network = SingleTermNetwork(num_peers=8, seed=62)
-    network.distribute_documents(corpus.documents())
-    network.run_statistics_phase()
-    network.build_index()
-    return network
+    return single_term_baseline(corpus.documents(), num_peers=8, seed=62)
+
+
+def _term_lists(network):
+    """term -> its full posting list, read from the owners' fragments."""
+    return {entry.key.terms[0]: entry.postings
+            for peer in network.peers() for entry in peer.fragment}
 
 
 def _frequent_terms(network, count):
-    counts = {}
-    for peer in network.peers():
-        for term, plist in peer.term_store.items():
-            counts[term] = len(plist)
+    counts = {term: len(postings)
+              for term, postings in _term_lists(network).items()}
     return sorted(counts, key=counts.get, reverse=True)[:count]
+
+
+def _pinned_queries(network):
+    counts = {term: len(postings)
+              for term, postings in _term_lists(network).items()}
+    frequent = sorted(counts, key=lambda term: (-counts[term], term))[:6]
+    return ([[term] for term in frequent[:2]]
+            + [list(pair) for pair in itertools.combinations(frequent, 2)]
+            + [list(triple)
+               for triple in itertools.combinations(frequent[:4], 3)])
+
+
+class TestPinnedDigests:
+    def test_index_digest(self, bloom_net, baseline_digests):
+        assert baseline_digests.index(bloom_net) == INDEX_DIGEST
+
+    @pytest.mark.parametrize("mode", ["fetch_all", "pipelined", "bloom"])
+    def test_topk_digest(self, bloom_net, baseline_digests, mode):
+        assert baseline_digests.topk(
+            bloom_net, _pinned_queries(bloom_net), mode) == TOPK_DIGEST
 
 
 class TestBloomMode:
     def test_results_match_fetch_all(self, bloom_net):
         terms = _frequent_terms(bloom_net, 2)
         origin = bloom_net.peer_ids()[0]
-        exact = bloom_net.query(origin, terms, mode="fetch_all")
-        bloom = bloom_net.query(origin, terms, mode="bloom")
+        exact = single_term_query(bloom_net, origin, terms, mode="fetch_all")
+        bloom = single_term_query(bloom_net, origin, terms, mode="bloom")
         assert bloom.results == exact.results
 
     def test_three_term_query_matches(self, bloom_net):
         terms = _frequent_terms(bloom_net, 3)
         origin = bloom_net.peer_ids()[1]
-        exact = bloom_net.query(origin, terms, mode="fetch_all")
-        bloom = bloom_net.query(origin, terms, mode="bloom")
+        exact = single_term_query(bloom_net, origin, terms, mode="fetch_all")
+        bloom = single_term_query(bloom_net, origin, terms, mode="bloom")
         assert bloom.results == exact.results
 
     def test_single_term_query_falls_back(self, bloom_net):
         terms = _frequent_terms(bloom_net, 1)
         origin = bloom_net.peer_ids()[2]
-        trace = bloom_net.query(origin, terms, mode="bloom")
-        exact = bloom_net.query(origin, terms, mode="fetch_all")
+        trace = single_term_query(bloom_net, origin, terms, mode="bloom")
+        exact = single_term_query(bloom_net, origin, terms, mode="fetch_all")
         assert trace.results == exact.results
 
     def test_bloom_saves_bytes_on_selective_frequent_pairs(self,
@@ -107,10 +133,8 @@ class TestBloomMode:
         intersection is nearly the whole list, shipping candidates twice
         costs more than one full list; see the scalability test below
         for why neither regime saves the baseline.)"""
-        doc_sets = {}
-        for peer in bloom_net.peers():
-            for term, plist in peer.term_store.items():
-                doc_sets[term] = set(plist.doc_ids())
+        doc_sets = {term: set(postings.doc_ids())
+                    for term, postings in _term_lists(bloom_net).items()}
         frequent = sorted(doc_sets, key=lambda t: len(doc_sets[t]),
                           reverse=True)[:15]
         best_pair = min(
@@ -121,24 +145,22 @@ class TestBloomMode:
                          len(doc_sets[pair[1]]))))
         terms = list(best_pair)
         origin = bloom_net.peer_ids()[0]
-        fetch = bloom_net.query(origin, terms, mode="fetch_all")
-        bloom = bloom_net.query(origin, terms, mode="bloom")
+        fetch = single_term_query(bloom_net, origin, terms, mode="fetch_all")
+        bloom = single_term_query(bloom_net, origin, terms, mode="bloom")
         assert bloom.results == fetch.results
         assert bloom.bytes_sent < fetch.bytes_sent
 
-    def test_bloom_still_grows_with_collection(self):
+    def test_bloom_still_grows_with_collection(self, single_term_baseline):
         """Zhang & Suel's conclusion: Bloom filters buy a constant
         factor, not scalability — bytes still grow with the collection."""
         results = {}
         for num_docs in (80, 320):
             corpus = SyntheticCorpus(SyntheticCorpusConfig(
                 num_documents=num_docs, vocabulary_size=600, seed=63))
-            network = SingleTermNetwork(num_peers=8, seed=64)
-            network.distribute_documents(corpus.documents())
-            network.run_statistics_phase()
-            network.build_index()
+            network = single_term_baseline(corpus.documents(),
+                                           num_peers=8, seed=64)
             terms = _frequent_terms(network, 2)
-            trace = network.query(network.peer_ids()[0], terms,
-                                  mode="bloom")
+            trace = single_term_query(network, network.peer_ids()[0], terms,
+                                      mode="bloom")
             results[num_docs] = trace.bytes_sent
         assert results[320] / results[80] > 1.8

@@ -15,7 +15,10 @@ import time
 
 import pytest
 
+from repro.baselines.single_term import single_term_query
+from repro.core.config import AlvisConfig
 from repro.core.network import AlvisNetwork
+from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.ir.postings import Posting, PostingList
 from repro.net import protocol
 from repro.net.message import Message
@@ -322,6 +325,64 @@ class TestRingLookupOverUdp:
         for received in ("msgs_in", "bytes_in"):
             assert _nonzero(getattr(udp, received)) == \
                 _nonzero(getattr(sim.transport, received))
+
+
+class TestSingleTermBaselineOverUdp:
+    def test_three_modes_match_sim_transport(self):
+        # The E2 baseline's owner-side kinds (ProbeKey, DfGet,
+        # TermScores, BloomGet, BloomMatch) as real datagrams: the twin
+        # queries from the peers its own transport hosts, every other
+        # peer is served by a second transport, and the twin still
+        # returns the simulator's results and pays its bytes, kind by
+        # kind.  40 documents keep every reply far below one datagram.
+        def build():
+            corpus = SyntheticCorpus(SyntheticCorpusConfig(
+                num_documents=40, vocabulary_size=400, seed=8))
+            network = AlvisNetwork(num_peers=6, seed=9,
+                                   config=AlvisConfig(truncation_k=40))
+            network.distribute_documents(corpus.documents())
+            network.build_index(mode="single")
+            return network
+
+        def run(network, origins):
+            network.simulator.metrics.reset()
+            counts = {entry.key.terms[0]: len(entry.postings)
+                      for peer in network.peers()
+                      for entry in peer.fragment}
+            frequent = sorted(counts, key=lambda t: (-counts[t], t))[:4]
+            queries = [frequent[:2], frequent[1:4], [frequent[0]]]
+            results = [single_term_query(network, origin, terms,
+                                         mode=mode).results
+                       for mode in ("fetch_all", "pipelined", "bloom")
+                       for origin in origins for terms in queries]
+            return results, network.bytes_by_kind()
+
+        sim = build()
+        twin = build()
+        origins = twin.peer_ids()[:2]
+        udp = UdpTransport(metrics=twin.simulator.metrics,
+                           default_timeout=REQUEST_TIMEOUT).start()
+        remote = UdpTransport(default_timeout=REQUEST_TIMEOUT).start()
+        try:
+            twin.attach_transport(udp)
+            for peer_id in twin.peer_ids():
+                if peer_id in origins:
+                    udp.register(peer_id, twin.peer(peer_id))
+                else:
+                    remote.register(peer_id, twin.peer(peer_id))
+                    udp.add_route(peer_id, remote.local_address)
+            got = run(twin, origins)
+        finally:
+            udp.close()
+            remote.close()
+        expected = run(sim, origins)
+        assert udp.datagrams_sent > 0
+        assert udp.decode_errors == remote.decode_errors == 0
+        assert got == expected
+        assert any(expected[0])
+        for kind in (protocol.TERM_SCORES, protocol.BLOOM_GET,
+                     protocol.BLOOM_MATCH, protocol.PROBE_KEY):
+            assert expected[1].get(kind, 0) > 0
 
 
 def _nonzero(counts):

@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+from repro.ir.bloom import BloomFilter
 from repro.ir.postings import Posting, PostingList
 from repro.net import protocol, wire
 from repro.net.message import HEADER_BYTES, Message
@@ -26,6 +27,7 @@ from repro.net.wire import (
 
 _POSTINGS = PostingList([Posting(11, 2.5), Posting(7, 1.25),
                          Posting(3, 0.5)], global_df=9)
+_BLOOM = BloomFilter.of([3, 7, 11, 2**40 + 5])
 
 #: One representative payload per wire-supported message kind (plus
 #: payload variants where senders use different field subsets).
@@ -70,6 +72,12 @@ GOLDEN = [
     (wire.HELLO, {"host": 1, "port": 54321, "fingerprint": "ab" * 20}),
     (wire.WELCOME, {"ok": True, "error": ""}),
     (wire.BYE, {}),
+    (protocol.TERM_SCORES, {"term": "peer", "doc_ids": [3, 7, 11]}),
+    (protocol.TERM_SCORES_REPLY, {"scores": {7: 1.5, 11: 0.125}}),
+    (protocol.BLOOM_GET, {"term": "peer"}),
+    (protocol.BLOOM_REPLY, {"bloom": _BLOOM}),
+    (protocol.BLOOM_MATCH, {"term": "index", "bloom": _BLOOM}),
+    (protocol.BLOOM_MATCH_REPLY, {"postings": _POSTINGS}),
 ]
 
 
@@ -79,6 +87,9 @@ def _normalize(value):
         return ("postings", value.global_df,
                 tuple((posting.doc_id, posting.score)
                       for posting in value.entries))
+    if isinstance(value, BloomFilter):
+        return ("bloom", value.num_bits, value.num_hashes, value.count,
+                value.pack())
     if isinstance(value, (list, tuple)):
         return tuple(_normalize(item) for item in value)
     if isinstance(value, dict):
@@ -134,6 +145,23 @@ class TestGoldenRoundTrips:
         for kind in protocol.RETRIEVAL_KINDS:
             assert kind in supported
         assert protocol.LOOKUP_HOP in supported
+
+    def test_every_supported_kind_has_a_golden_case(self):
+        # A kind with a schema but no golden case would go untested by
+        # the round-trip, size-parity and fuzz checks above and below.
+        golden_kinds = {kind for kind, _payload in GOLDEN}
+        assert set(wire.supported_kinds()) <= golden_kinds
+
+    @pytest.mark.parametrize("items", [[], [5], list(range(0, 9000, 3))])
+    def test_bloom_field_encodes_in_wire_size(self, items):
+        bloom = BloomFilter.of(items)
+        with_bloom = wire.encode(Message(src=1, dst=2,
+                                         kind=protocol.BLOOM_REPLY,
+                                         payload={"bloom": bloom}))
+        empty = wire.encode(Message(src=1, dst=2,
+                                    kind=protocol.BLOOM_REPLY, payload={}))
+        field = len("bloom".encode()) + 2
+        assert len(with_bloom) - len(empty) == field + bloom.wire_size()
 
 
 class TestCodecFailureModes:

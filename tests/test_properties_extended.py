@@ -3,7 +3,7 @@ filters, query language, persistence)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.bloom import BloomFilter
+from repro.ir.bloom import BloomFilter
 from repro.core.global_index import KeyEntry
 from repro.core.keys import Key
 from repro.core.persistence import entry_from_dict, entry_to_dict
