@@ -33,6 +33,7 @@ import pytest
 from benchmarks.conftest import (BENCH_SEED, make_network,
                                  write_bench_artifact)
 from repro.core.config import AlvisConfig
+from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.eval.reporting import print_table
 from repro.util.rng import make_rng
 from repro.util.stats import percentile
@@ -77,8 +78,9 @@ def e14_runs(bench_corpus, e14_workload):
         clock_before = network.simulator.now
         started = time.perf_counter()
         if open_loop:
-            jobs = network.run_queries(e14_workload, origins=origins,
-                                       arrival_rate=ARRIVAL_RATE)
+            jobs = network.run_workload(Workload(
+                e14_workload, PoissonArrivals(ARRIVAL_RATE),
+                RoundRobinOrigins(origins)))
             latencies = [job.trace.latency for job in jobs]
             top_k = [[doc.doc_id for doc in job.results] for job in jobs]
             completed = sum(1 for job in jobs if job.done)

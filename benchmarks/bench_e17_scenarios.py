@@ -11,10 +11,9 @@ Acceptance targets:
 * every scenario completes its full query stream and *passes* its own
   declared criteria at the benchmark seed;
 * the baseline scenario is the E14 open workload in scenario clothing:
-  replaying its exact base query stream through the legacy
-  ``run_queries`` path on an identically-built network yields identical
-  per-query top-k (the Workload API redesign changed no retrieval
-  semantics).
+  replaying its exact base query stream as a plain Poisson
+  ``run_workload`` on an identically-built network yields identical
+  per-query top-k (the scenario layer changes no retrieval semantics).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import time
 import pytest
 
 from benchmarks.conftest import write_bench_artifact
+from repro.core.workload import PoissonArrivals, Workload
 from repro.eval.reporting import print_table
 from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
 
@@ -94,16 +94,17 @@ def test_e17_acceptance(e17_runs):
         assert report.queries_completed == report.queries_submitted
 
 
-def test_e17_baseline_matches_run_queries_path(e17_runs):
+def test_e17_baseline_matches_plain_workload(e17_runs):
     """The scenario layer is a pure re-surfacing of the E14 path:
-    identical top-k for the baseline scenario vs ``run_queries``."""
+    identical top-k for the baseline scenario vs a plain Poisson
+    ``run_workload``."""
     runner = e17_runs["baseline_poisson"]["runner"]
     scenario_top_k = [[document.doc_id for document in job.results]
                       for job in runner.base_jobs]
     replay = runner.build_network()
-    replay_jobs = replay.run_queries(
+    replay_jobs = replay.run_workload(Workload(
         runner.base_queries,
-        arrival_rate=runner.scenario.workload.arrival_rate)
+        PoissonArrivals(runner.scenario.workload.arrival_rate)))
     replay_top_k = [[document.doc_id for document in job.results]
                     for job in replay_jobs]
     assert scenario_top_k == replay_top_k

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
 
@@ -100,6 +102,26 @@ def write_bench_artifact(name: str, payload: dict) -> pathlib.Path:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
+
+
+def bench_stamp() -> dict:
+    """What a full-mode artifact was measured on: commit, Python, numpy
+    and host."""
+    try:
+        done = subprocess.run(("git", "-C", str(_ARTIFACT_DIR), "rev-parse",
+                               "HEAD"), capture_output=True, text=True,
+                              timeout=10)
+        commit = done.stdout.strip() if done.returncode == 0 else "unknown"
+    except (OSError, subprocess.TimeoutExpired):
+        commit = "unknown"
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {"commit": commit, "python": platform.python_version(),
+            "numpy": numpy_version,
+            "host": f"{platform.platform()}, {os.cpu_count()} cpus"}
 
 
 @pytest.fixture(scope="session")

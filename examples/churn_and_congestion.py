@@ -5,9 +5,11 @@ Exercises the two Layer-2 mechanisms the paper highlights (Section 3):
 * **Churn** — peers join and leave while the global index stays
   consistent: key ranges are handed over (byte-accounted), and queries
   keep returning the same results.
-* **Congestion control** — the NCA'06-style AIMD controller vs. an
-  open-loop sender against a bounded-capacity node: the open loop
-  collapses into retransmission churn past saturation, AIMD does not.
+* **Congestion control** — the NCA'06-style AIMD window on each
+  origin's dispatch queue vs. blind retransmission, with one origin
+  querying one hot key whose owner is a bounded service queue: the open
+  loop collapses into retransmission churn past saturation, AIMD does
+  not.
 
 Run with::
 
@@ -16,16 +18,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AlvisNetwork
+from repro import AlvisConfig, AlvisNetwork
 from repro.corpus import sample_documents
-from repro.dht.congestion import (
-    AimdSender,
-    CongestionConfig,
-    QueueingNode,
-    UncontrolledSender,
-)
+from repro.eval.congestion import (overload_point, reference_query,
+                                   remote_origin)
 from repro.eval.reporting import print_table
-from repro.sim.events import Simulator
 
 
 def churn_demo() -> None:
@@ -66,36 +63,35 @@ def churn_demo() -> None:
 
 
 def congestion_demo() -> None:
-    service_rate = 100.0
-    duration = 4.0
+    service = dict(service_rate=40.0, queue_capacity=10,
+                   service_reject_cost=0.5)
+    terms = ("peer",)
+
+    def network(**overrides) -> AlvisNetwork:
+        # The paper's per-probe traffic: one lookup plus one ProbeKey
+        # per single-key query.
+        built = AlvisNetwork(num_peers=16, seed=3, config=AlvisConfig(
+            batch_lookups=False, **overrides))
+        built.distribute_documents(sample_documents())
+        built.build_index(mode="single")
+        return built
+
+    reference = network()
+    origin = remote_origin(reference, terms)
+    _top_k, owner_messages = reference_query(reference, origin, terms)
+    capacity = service["service_rate"] / owner_messages
     rows = []
     for factor in (0.5, 1.0, 2.0, 5.0, 10.0):
-        # Open loop: fixed offered rate, blind retransmissions.
-        sim_u = Simulator()
-        config = CongestionConfig(service_rate=service_rate,
-                                  queue_capacity=10,
-                                  network_delay=0.01,
-                                  retransmit_timeout=0.3)
-        node_u = QueueingNode(sim_u, config)
-        open_loop = UncontrolledSender(sim_u, node_u, config,
-                                       offered_rate=service_rate * factor)
-        open_loop.start(duration)
-        sim_u.run_until(duration)
-        # AIMD: window-controlled, same capacity, same amount of work.
-        sim_c = Simulator()
-        node_c = QueueingNode(sim_c, config)
-        aimd = AimdSender(sim_c, node_c, config,
-                          workload=int(service_rate * factor * duration))
-        aimd.start()
-        sim_c.run_until(duration)
-        rows.append([factor,
-                     open_loop.acked / duration,
-                     node_u.dropped,
-                     aimd.acked / duration,
-                     node_c.dropped])
+        open_loop, aimd = (
+            overload_point(network(congestion_control=controlled,
+                                   **service),
+                           origin, terms, factor * capacity, span=2.0)
+            for controlled in (False, True))
+        rows.append([factor, open_loop["goodput"], open_loop["queue_drops"],
+                     aimd["goodput"], aimd["queue_drops"]])
     print_table(
         f"congestion: goodput vs offered load (capacity "
-        f"{service_rate:.0f}/s)",
+        f"{capacity:.0f} queries/s)",
         ["offered/capacity", "open-loop goodput", "open-loop drops",
          "AIMD goodput", "AIMD drops"], rows)
 

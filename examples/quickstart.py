@@ -11,7 +11,7 @@ Runs the full pipeline of the paper on the built-in sample collection:
    :class:`repro.AlvisConfig`) and watch repeated queries stop costing
    traffic,
 6. serve an *open workload* of concurrent queries
-   (``AlvisNetwork.run_queries``) on the same event-kernel engine, with
+   (``AlvisNetwork.run_workload``) on the same event-kernel engine, with
    clock-measured latency percentiles,
 7. saturate the network (bounded per-endpoint service queues via
    ``service_rate``/``queue_capacity``) and let the AIMD congestion
@@ -28,6 +28,7 @@ Run with::
 from __future__ import annotations
 
 from repro import AlvisConfig, AlvisNetwork
+from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.corpus import sample_documents
 from repro.eval.reporting import print_table
 
@@ -108,7 +109,7 @@ def main() -> None:
     #    (server-side cross-query batching); ``pipeline_levels`` launches
     #    level N+1's DHT lookups while level N's probe replies are still
     #    in flight.
-    #    ``run_queries`` drives a Poisson-arrival open workload — the
+    #    ``run_workload`` drives a Poisson-arrival open workload — the
     #    "many simultaneous querying peers" scenario of the paper's
     #    scalability argument.
     runtime = AlvisNetwork(
@@ -118,7 +119,7 @@ def main() -> None:
     runtime.build_index(mode="hdk")
     workload = ["scalable peer retrieval", "posting list truncation",
                 "congestion control"] * 4
-    jobs = runtime.run_queries(workload, arrival_rate=100.0)
+    jobs = runtime.run_workload(Workload(workload, PoissonArrivals(100.0)))
     summary = runtime.runtime.latency_summary()
     print("\nopen workload of concurrent queries:")
     print(f"  {len(jobs)} concurrent queries "
@@ -133,9 +134,9 @@ def main() -> None:
     #    means drops); ``congestion_control`` puts the NCA'06 AIMD
     #    window between each origin's dispatch queue and the transport,
     #    so heavy workloads back off, merge their backlogged batches
-    #    and retransmit drops — instead of flooding.  Sweep the arrival
-    #    rate through the knee with bench_e15_congestion_runtime.py;
-    #    here we just overload one origin and read the counters.
+    #    and retransmit drops — instead of flooding.  Sweep the offered
+    #    load through the knee with bench_e8_congestion.py; here we
+    #    just overload one origin and read the counters.
     print("\nwith bounded service queues and AIMD congestion control:")
     for label, controlled in (("uncontrolled", False), ("AIMD", True)):
         congested = AlvisNetwork(
@@ -146,8 +147,8 @@ def main() -> None:
         congested.build_index(mode="hdk")
         origin = congested.peer_ids()[0]
         started = congested.simulator.now
-        jobs = congested.run_queries(workload, origins=[origin],
-                                     arrival_rate=300.0)
+        jobs = congested.run_workload(Workload(
+            workload, PoissonArrivals(300.0), RoundRobinOrigins([origin])))
         makespan = congested.simulator.now - started
         drops = congested.transport.queue_drops_total()
         summary = congested.runtime.latency_summary()

@@ -209,8 +209,9 @@ class ClusterDriver:
                           timeout: float = 60.0) -> List[QueryJob]:
         """Overlapping queries through the query engine, over UDP.
 
-        Mirrors :meth:`AlvisNetwork.run_queries`: Poisson arrivals at
-        ``arrival_rate`` per (now wall-clock) second.  Returns the
+        Mirrors :meth:`AlvisNetwork.run_workload` with
+        :class:`~repro.core.workload.PoissonArrivals` at ``arrival_rate``
+        per (now wall-clock) second.  Returns the
         completed jobs in submission order.
         """
         if arrival_rate <= 0:

@@ -172,17 +172,18 @@ class AlvisConfig:
     # Congestion-aware dispatch (AIMD flow control on the query path)
     # ------------------------------------------------------------------
 
-    #: Put a per-origin AIMD congestion window (the NCA'06 controller of
-    #: ``repro.dht.congestion``, validated by E8) between each origin's
-    #: dispatch queue and the transport: the window bounds how many
-    #: lookup rounds / probe batches may be outstanding, acks open it
-    #: additively, and any non-ok outcome (queue overflow, churn drop,
-    #: timeout) halves it — at most once per RTT.  Excess flushed work
-    #: queues at the dispatcher and drains as the window opens; overflow
-    #: drops are retransmitted through the window, and a window's worth
-    #: of pending work triggers an early dispatch flush (size-triggered,
-    #: not only after ``dispatch_window``).  Each lookup round and each
-    #: probe message is one window unit (under the per-probe policy,
+    #: Put a per-origin AIMD congestion window (the NCA'06 controller,
+    #: :class:`repro.core.runtime.CongestionWindow`, measured by E8)
+    #: between each origin's dispatch queue and the transport: the
+    #: window bounds how many lookup rounds / probe batches may be
+    #: outstanding, acks open it additively, and any non-ok outcome
+    #: (queue overflow, churn drop, timeout) halves it — at most once
+    #: per RTT.  Excess flushed work queues at the dispatcher and
+    #: drains as the window opens; overflow drops are retransmitted
+    #: through the window, and a window's worth of pending work triggers
+    #: an early dispatch flush (size-triggered, not only after
+    #: ``dispatch_window``).  Each lookup round and each probe message
+    #: is one window unit (under the per-probe policy,
     #: every one-key lookup and every ``ProbeKey``).  Off by default so
     #: query traffic is byte-identical to the unthrottled engine.
     congestion_control: bool = False
@@ -200,7 +201,7 @@ class AlvisConfig:
 
     #: Blind-retransmission delay (virtual seconds) used for overflow
     #: drops when ``congestion_control`` is *off* — the open-loop
-    #: behaviour whose collapse E8/E15 measure.  With the AIMD window on,
+    #: behaviour whose collapse E8 measures.  With the AIMD window on,
     #: retransmissions are paced by the window instead.
     congestion_retransmit_timeout: float = 0.25
 
@@ -221,7 +222,7 @@ class AlvisConfig:
     #: wire and generating the rejection) — wasted work competing with
     #: useful service.  This is what lets an open-loop retransmission
     #: storm genuinely collapse goodput instead of being shed for free.
-    #: 0 keeps the cost-free drops of the E8 toy model.
+    #: 0 makes drops cost-free.
     service_reject_cost: float = 0.5
 
     # ------------------------------------------------------------------

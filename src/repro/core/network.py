@@ -42,8 +42,7 @@ from repro.core.ranking import RankedDocument
 from repro.core.faults import FaultInjector
 from repro.core.retrieval import QueryTrace, RetrievalComponent
 from repro.core.runtime import AsyncQueryRuntime, QueryJob
-from repro.core.workload import (PoissonArrivals, RoundRobinOrigins,
-                                 UniformOrigins, Workload)
+from repro.core.workload import Workload
 from repro.dht.churn import ChurnProcess
 from repro.dht.hashing import hash_string
 from repro.dht.ring import DHTRing
@@ -573,29 +572,6 @@ class AlvisNetwork:
         jobs = self.submit_workload(workload, refine=refine)
         self.simulator.run()
         return jobs
-
-    def run_queries(self, queries: Sequence[Union[str, Sequence[str]]],
-                    origins: Optional[Sequence[int]] = None,
-                    arrival_rate: float = 50.0,
-                    refine: Optional[bool] = None) -> List[QueryJob]:
-        """Open-workload driver: Poisson arrivals of concurrent queries.
-
-        Compatibility shim over :meth:`run_workload`: builds a
-        :class:`~repro.core.workload.Workload` with
-        :class:`~repro.core.workload.PoissonArrivals` at
-        ``arrival_rate`` and a
-        :class:`~repro.core.workload.RoundRobinOrigins` policy over
-        ``origins`` (or :class:`~repro.core.workload.UniformOrigins`
-        when omitted).  ``tests/test_core_workload.py`` pins the two
-        call forms trace-identical.
-        """
-        origin_policy = (RoundRobinOrigins(tuple(origins))
-                         if origins is not None else UniformOrigins())
-        return self.run_workload(
-            Workload(queries=tuple(queries),
-                     arrival=PoissonArrivals(arrival_rate),
-                     origins=origin_policy),
-            refine=refine)
 
     def fetch_document(self, origin: int, doc_id: int,
                        credentials: Optional[Tuple[str, str]] = None,

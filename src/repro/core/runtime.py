@@ -68,13 +68,13 @@ On top of the walk sit the engine's policies:
   is counted in the trace;
 
 * with ``congestion_control``, a per-origin AIMD
-  :class:`~repro.dht.congestion.CongestionWindow` sits between the
-  dispatch queue and the transport: it bounds how many lookup rounds /
-  probe messages may be outstanding, queues the excess, retransmits
-  probes a full service queue rejected, and flushes the dispatch
-  queue early once a window's worth of work is pending — closed-loop
-  flow control on the retrieval path (the NCA'06 controller E8
-  validates in isolation).
+  :class:`CongestionWindow` (the NCA'06 controller of Klemm et al.)
+  sits between the dispatch queue and the transport: it bounds how many
+  lookup rounds / probe messages may be outstanding, queues the excess,
+  retransmits probes a full service queue rejected, and flushes the
+  dispatch queue early once a window's worth of work is pending —
+  closed-loop flow control on the retrieval path, which E8 measures
+  against blind retransmission (:mod:`repro.eval.congestion`).
 
 Byte attribution.  A trace is charged for the messages its query sends
 and receives: lookup hops, probes, QDI popularity feedback and
@@ -106,7 +106,6 @@ from repro.core.lattice import ExplorationOutcome, LatticeExplorer
 from repro.core.ranking import (RankedDocument, merge_and_rank,
                                 rank_with_margin)
 from repro.core.retrieval import QueryTrace
-from repro.dht.congestion import CongestionWindow
 from repro.ir.postings import PostingList
 from repro.ir.scoring import BM25Parameters, bm25_weight_ceiling
 from repro.net import protocol
@@ -118,7 +117,7 @@ from repro.util.stats import percentile
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.network import AlvisNetwork
 
-__all__ = ["QueryJob", "AsyncQueryRuntime"]
+__all__ = ["CongestionWindow", "QueryJob", "AsyncQueryRuntime"]
 
 #: A probe outcome as the runtime moves it around: (found, postings,
 #: dropped).
@@ -126,6 +125,89 @@ ProbeOutcome = Tuple[bool, Optional[object], bool]
 
 #: Fixed per-entry bookkeeping charged against the cache byte budget.
 _CACHE_ENTRY_OVERHEAD = 16
+
+
+class CongestionWindow:
+    """A reusable AIMD congestion window (the NCA'06 / TCP-Reno core).
+
+    Tracks how many requests are outstanding against a real-valued
+    window: acks open the window additively (+1 per window's worth of
+    acks), congestion signals halve it — but, per TCP semantics, at most
+    once per RTT: a burst of drops from one overflowing queue is *one*
+    congestion event, not ``n`` independent ones.  The RTT used for the
+    once-per-RTT guard is a smoothed estimate fed by ack samples (seeded
+    with ``initial_rtt`` so the guard works before the first ack).
+
+    The window never goes below ``min_window``, so a gated sender always
+    makes progress.  ``trajectory`` records ``(time, window)`` after
+    every change, bounded to the most recent ``trajectory_limit`` points
+    — the measurement hook for the congestion benchmarks.
+    """
+
+    __slots__ = ("window", "min_window", "max_window", "outstanding",
+                 "acks", "drops", "decreases", "srtt", "trajectory",
+                 "trajectory_limit", "_last_decrease")
+
+    def __init__(self, initial: float = 2.0, max_window: float = 256.0,
+                 min_window: float = 1.0, initial_rtt: float = 0.0,
+                 trajectory_limit: int = 2048):
+        if initial < min_window:
+            raise ValueError(
+                f"initial window {initial} below min_window {min_window}")
+        if max_window < initial:
+            raise ValueError(
+                f"max_window {max_window} below initial window {initial}")
+        self.window = float(initial)
+        self.min_window = float(min_window)
+        self.max_window = float(max_window)
+        self.outstanding = 0
+        self.acks = 0
+        self.drops = 0
+        self.decreases = 0            #: congestion events (not raw drops)
+        self.srtt = float(initial_rtt)
+        self.trajectory: Deque = collections.deque(maxlen=trajectory_limit)
+        self.trajectory_limit = trajectory_limit
+        self._last_decrease: Optional[float] = None
+
+    # ------------------------------------------------------------------
+
+    def can_send(self) -> bool:
+        """True when the window admits another outstanding request."""
+        return self.outstanding < self.window
+
+    def on_send(self) -> None:
+        """Register one request entering the network."""
+        self.outstanding += 1
+
+    def on_ack(self, now: float = 0.0,
+               rtt_sample: Optional[float] = None) -> None:
+        """One request acknowledged: release its slot, open the window."""
+        self.outstanding -= 1
+        self.acks += 1
+        if rtt_sample is not None and rtt_sample > 0:
+            # Jacobson-style smoothing; first sample seeds the estimate.
+            self.srtt = (rtt_sample if self.srtt <= 0 else
+                         0.875 * self.srtt + 0.125 * rtt_sample)
+        self.window = min(self.max_window,
+                          self.window + 1.0 / max(self.window, 1.0))
+        self.trajectory.append((now, self.window))
+
+    def on_drop(self, now: float = 0.0) -> None:
+        """One request dropped: release its slot; decrease at most once
+        per smoothed RTT (a drop burst is one congestion event)."""
+        self.outstanding -= 1
+        self.drops += 1
+        if (self._last_decrease is None
+                or now - self._last_decrease >= self.srtt):
+            self.window = max(self.min_window, self.window / 2.0)
+            self.decreases += 1
+            self._last_decrease = now
+            self.trajectory.append((now, self.window))
+
+    def __repr__(self) -> str:
+        return (f"CongestionWindow(window={self.window:.2f}, "
+                f"outstanding={self.outstanding}, acks={self.acks}, "
+                f"drops={self.drops}, decreases={self.decreases})")
 
 
 @dataclass
@@ -604,7 +686,7 @@ class _OriginDispatcher:
             # re-enters the window-paced queue after one smoothed RTT —
             # an immediate retry would hit the same still-full queue.
             # Without the window: blind timeout retransmission, the
-            # open-loop behaviour whose collapse E8/E15 measure.
+            # open-loop behaviour whose collapse E8 measures.
             if self.cwnd is not None:
                 self.cwnd.on_drop(now)
             self.retransmissions += 1

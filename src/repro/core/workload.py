@@ -1,8 +1,7 @@
 """Declarative open-workload specs for the async query runtime.
 
-``AlvisNetwork.run_queries`` historically took a positional-kwarg soup
-(queries, origins, arrival_rate); a :class:`Workload` names the three
-independent choices instead:
+A :class:`Workload` names the three independent choices of an open
+workload, which :meth:`AlvisNetwork.run_workload` runs:
 
 * the **arrival process** (:class:`PoissonArrivals` — exponential
   interarrival gaps, i.e. a Poisson open workload),
@@ -13,12 +12,12 @@ independent choices instead:
   pool with drift and pass the materialized list down).
 
 RNG discipline: :meth:`Workload.compile` takes *two* derived streams —
-one for arrivals, one for origin selection.  The legacy ``run_queries``
-interleaved ``rng.expovariate`` with ``rng.choice`` on a single stream,
-so passing explicit ``origins`` (no choice draws) shifted every arrival
-time relative to the uniform-origin case; with split streams the arrival
-schedule is identical whichever origin policy is plugged in
-(``tests/test_core_workload.py`` pins this).
+one for arrivals, one for origin selection.  On a single stream the
+``rng.choice`` draws of uniform origins would interleave with the
+``rng.expovariate`` gaps, so pinning the origins would shift every
+arrival time; with split streams the arrival schedule is identical
+whichever origin policy is plugged in (``tests/test_core_workload.py``
+pins this).
 """
 
 from __future__ import annotations

@@ -8,16 +8,11 @@ A ring DHT with two routing-table constructions:
   by the paper, where fingers are placed at exponential *rank* (peer-count)
   distances, keeping lookups at ~log2(n) hops under arbitrary skew.
 
-The package also contains the congestion-control model cited from
-Klemm et al. (NCA 2006) and churn handling with index handover.
+The package also contains churn handling with index handover.  The
+congestion controller cited from Klemm et al. (NCA 2006) runs on the
+query path: :class:`repro.core.runtime.CongestionWindow`.
 """
 
-from repro.dht.congestion import (
-    AimdSender,
-    CongestionConfig,
-    QueueingNode,
-    UncontrolledSender,
-)
 from repro.dht.hashing import hash_string, hash_terms
 from repro.dht.idspace import (
     ID_BITS,
@@ -37,10 +32,6 @@ from repro.dht.routing import (
 )
 
 __all__ = [
-    "AimdSender",
-    "CongestionConfig",
-    "QueueingNode",
-    "UncontrolledSender",
     "hash_string",
     "hash_terms",
     "ID_BITS",

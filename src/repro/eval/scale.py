@@ -31,6 +31,7 @@ from typing import Any, Dict
 from repro.core.config import AlvisConfig
 from repro.core.fingerprint import state_fingerprint
 from repro.core.network import AlvisNetwork
+from repro.core.workload import PoissonArrivals, Workload
 from repro.corpus.queries import QueryWorkload, QueryWorkloadConfig
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 from repro.util.npcompat import HAVE_NUMPY
@@ -79,9 +80,9 @@ def run_leg(peers: int, documents: int = 240, queries: int = 36,
     completed = 0
 
     def _run_query(index: int) -> None:
-        jobs = network.run_queries(
+        jobs = network.run_workload(Workload(
             [list(workload.pool[index % len(workload.pool)])],
-            arrival_rate=50.0)
+            PoissonArrivals(50.0)))
         fingerprints.append([[doc.doc_id, doc.score]
                              for doc in jobs[0].results])
 

@@ -19,9 +19,8 @@ Three delivery modes are offered:
   never do.
 
 * :meth:`SimTransport.send_async` — schedules delivery through the
-  simulator's event queue after a sampled latency.  The DHT
-  congestion-control experiment (E8) uses this mode, where queueing
-  effects matter.
+  simulator's event queue after a sampled latency; the building block
+  of :meth:`SimTransport.request_async`.
 
 * :meth:`SimTransport.request_async` — the correlated request/reply API
   the async query runtime builds on: every call gets a request id and a
@@ -33,8 +32,8 @@ Three delivery modes are offered:
 
 With :meth:`SimTransport.configure_service_model` each destination
 endpoint additionally gets a *bounded service queue* on the event
-kernel (the Klemm/NCA'06 queueing model of ``repro.dht.congestion``,
-wired into delivery): async messages wait in a finite FIFO and are
+kernel (the queue the Klemm/NCA'06 congestion controller protects,
+loaded by experiment E8): async messages wait in a finite FIFO and are
 processed at a fixed ``service_rate``, so hot owners exhibit real
 queueing delay — and overflow *drops*, surfaced to async senders as an
 ``"overflow"`` outcome whose notification travels back with one network
@@ -179,10 +178,9 @@ class TransportBackend(Protocol):
 class _ServiceQueue:
     """A bounded FIFO + fixed-rate server for one destination endpoint.
 
-    The :class:`~repro.dht.congestion.QueueingNode` model wired into
-    transport delivery: tasks (message deliveries) wait in a finite
-    queue and complete after ``1 / rate`` seconds of service each;
-    arrivals beyond ``capacity`` invoke their overflow callback instead.
+    Tasks (message deliveries) wait in a finite queue and complete after
+    ``1 / rate`` seconds of service each; arrivals beyond ``capacity``
+    invoke their overflow callback instead.
 
     ``reject_cost`` is the fraction of one service time the server
     spends *shedding* an overflow arrival (receiving the message off

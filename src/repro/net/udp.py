@@ -45,9 +45,11 @@ model does not exist (real sockets drop instead of nacking overflow).
 from __future__ import annotations
 
 import asyncio
+import collections
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+import traceback
+from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from repro.net import wire
 from repro.net.message import Message
@@ -123,6 +125,8 @@ class UdpTransport:
         self.decode_errors = 0
         self.encode_errors = 0
         self.handler_errors = 0
+        #: Formatted tracebacks of the 16 latest ``handler_errors``.
+        self.handler_tracebacks: Deque[str] = collections.deque(maxlen=16)
         self.socket_errors = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread_id: Optional[int] = None
@@ -385,6 +389,12 @@ class UdpTransport:
                 entry.on_delivered(entry.message, message)
         self._notify_activity()
 
+    def _handler_failed(self) -> None:
+        """Count the endpoint handler error being handled, keeping its
+        traceback."""
+        self.handler_errors += 1
+        self.handler_tracebacks.append(traceback.format_exc())
+
     def _serve_request(self, message: Message,
                        addr: Tuple[str, int]) -> None:
         endpoint = self._endpoints.get(message.dst)
@@ -400,7 +410,7 @@ class UdpTransport:
         try:
             reply = endpoint.on_message(message)
         except Exception:
-            self.handler_errors += 1
+            self._handler_failed()
             self._send_datagram(
                 Message(src=message.dst, dst=message.src, kind=wire.ERR,
                         payload={"error": "handler-error"},
@@ -432,7 +442,7 @@ class UdpTransport:
             try:
                 reply = endpoint.on_message(message)
             except Exception:
-                self.handler_errors += 1
+                self._handler_failed()
                 self._loop.call_soon(lambda: self._safe(on_drop, message))
                 return
             if reply is not None:

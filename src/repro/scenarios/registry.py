@@ -30,12 +30,12 @@ def _register(scenario: Scenario) -> Scenario:
 
 #: The control: static membership, Poisson arrivals over the Zipf mix —
 #: exactly the E14 open workload, which the benchmark cross-checks
-#: against ``run_queries`` at identical top-k.
+#: against a plain Poisson ``run_workload`` at identical top-k.
 BASELINE_POISSON = _register(Scenario(
     name="baseline_poisson",
     description="Static membership, Poisson arrivals over a Zipf query "
-                "mix (the E14 control; top-k pinned against "
-                "run_queries).",
+                "mix (the E14 control; top-k pinned against a "
+                "plain run_workload).",
     workload=WorkloadSpec(queries=40, arrival_rate=50.0),
     criteria=PassCriteria(min_recall_at_k=0.99,
                           max_p99_latency=0.5,

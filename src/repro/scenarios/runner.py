@@ -61,7 +61,7 @@ class ScenarioRunner:
                 f"(no service model to slow down)")
         self._config_overrides = config_overrides
         # Populated by run() — the benchmark layer reads these to
-        # replay the base stream through the legacy run_queries path.
+        # replay the base stream as a plain Poisson run_workload.
         self.network: AlvisNetwork = None
         self.base_queries: List[Tuple[str, ...]] = []
         self.base_jobs: List = []
@@ -81,7 +81,7 @@ class ScenarioRunner:
         """A fresh network + corpus + index for this scenario/seed.
 
         Repeated calls build identical networks (the benchmark uses a
-        second one to replay the base stream through ``run_queries``).
+        second one to replay the base stream through ``run_workload``).
         """
         scenario = self.scenario
         config = AlvisConfig(**dict(self._config_overrides))

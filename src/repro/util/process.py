@@ -1,6 +1,6 @@
 """Process-level resource accounting for benchmarks and monitoring.
 
-The scale-out benchmarks (E13-E15, the 100k-peer sweep) report peak
+The scale-out benchmarks (E13, E14, the 100k-peer sweep) report peak
 resident set size next to their throughput numbers; this module holds
 the one portable-enough way to read it.
 """

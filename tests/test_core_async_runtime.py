@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import AlvisConfig
 from repro.core.lattice import ProbeStatus
 from repro.core.network import AlvisNetwork
+from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.corpus import sample_documents
 from repro.eval.monitor import NetworkMonitor
 
@@ -169,12 +170,12 @@ class TestRunQueries:
     def test_rejects_bad_arrival_rate(self):
         network = build_network()
         with pytest.raises(ValueError):
-            network.run_queries(QUERIES, arrival_rate=0.0)
+            network.run_workload(Workload(QUERIES, PoissonArrivals(0.0)))
 
     def test_queries_genuinely_overlap(self):
         network = build_network()
         workload = QUERIES * 4
-        jobs = network.run_queries(workload, arrival_rate=200.0)
+        jobs = network.run_workload(Workload(workload, PoissonArrivals(200.0)))
         assert len(jobs) == len(workload)
         assert all(job.done for job in jobs)
         assert all(job.trace.latency > 0 for job in jobs)
@@ -185,8 +186,9 @@ class TestRunQueries:
     def test_deterministic_under_fixed_seed(self):
         first = build_network()
         second = build_network()
-        jobs_first = first.run_queries(QUERIES * 2, arrival_rate=100.0)
-        jobs_second = second.run_queries(QUERIES * 2, arrival_rate=100.0)
+        workload = Workload(QUERIES * 2, PoissonArrivals(100.0))
+        jobs_first = first.run_workload(workload)
+        jobs_second = second.run_workload(workload)
         assert [doc_ids(job.results) for job in jobs_first] == \
             [doc_ids(job.results) for job in jobs_second]
         assert [job.trace.latency for job in jobs_first] == \
@@ -198,8 +200,8 @@ class TestRunQueries:
         concurrent = build_network()
         sequential = build_network()
         origin = concurrent.peer_ids()[0]
-        jobs = concurrent.run_queries(QUERIES * 2, origins=[origin],
-                                      arrival_rate=500.0)
+        jobs = concurrent.run_workload(Workload(
+            QUERIES * 2, PoissonArrivals(500.0), RoundRobinOrigins([origin])))
         for job in jobs:
             expected, _trace = sequential.query(origin,
                                                 list(job.terms))
@@ -239,13 +241,13 @@ class TestDispatchBatching:
         batched = build_network(dispatch_window=0.05)
         origin_list = [independent.peer_ids()[0]]
         before = independent.messages_sent_total()
-        independent.run_queries(workload, origins=origin_list,
-                                arrival_rate=300.0)
+        open_workload = Workload(workload, PoissonArrivals(300.0),
+                                 RoundRobinOrigins(origin_list))
+        independent.run_workload(open_workload)
         independent_messages = (independent.messages_sent_total()
                                 - before)
         before = batched.messages_sent_total()
-        batched.run_queries(workload, origins=origin_list,
-                            arrival_rate=300.0)
+        batched.run_workload(open_workload)
         batched_messages = batched.messages_sent_total() - before
         assert batched_messages < independent_messages
 
@@ -401,7 +403,7 @@ class TestChurnDrops:
         victim = network.peer_ids()[-1]
         network.simulator.schedule(0.05,
                                    lambda: network.fail_peer(victim))
-        jobs = network.run_queries(QUERIES * 4, arrival_rate=200.0)
+        jobs = network.run_workload(Workload(QUERIES * 4, PoissonArrivals(200.0)))
         assert all(job.done for job in jobs)
         assert network.runtime.active == 0
 
@@ -410,7 +412,7 @@ class TestChurnDrops:
         churn = network.churn()
         network.simulator.schedule(
             0.04, lambda: (churn.leave(), churn.join()))
-        jobs = network.run_queries(QUERIES * 4, arrival_rate=150.0)
+        jobs = network.run_workload(Workload(QUERIES * 4, PoissonArrivals(150.0)))
         assert all(job.done for job in jobs)
 
     def test_dropped_probes_are_not_qdi_missing(self):
@@ -432,7 +434,7 @@ class TestChurnDrops:
 class TestMonitorSurfacing:
     def test_latency_percentiles_in_snapshot(self):
         network = build_network()
-        network.run_queries(QUERIES * 3, arrival_rate=150.0)
+        network.run_workload(Workload(QUERIES * 3, PoissonArrivals(150.0)))
         monitor = NetworkMonitor(network)
         snapshot = monitor.snapshot()
         assert snapshot.queries_completed == 9
@@ -501,8 +503,8 @@ class TestSharedBatchAttribution:
         network = build_network(dispatch_window=0.04)
         origins = [network.peer_ids()[0]]
         network.reset_traffic()
-        jobs = network.run_queries(QUERIES * 4, origins=origins,
-                                   arrival_rate=300.0)
+        jobs = network.run_workload(Workload(
+            QUERIES * 4, PoissonArrivals(300.0), RoundRobinOrigins(origins)))
         self._reconcile(network, jobs)
 
     def test_open_workload_reconciles_with_pipelining(self):
@@ -510,8 +512,8 @@ class TestSharedBatchAttribution:
                                 pipeline_levels=True)
         origins = [network.peer_ids()[0]]
         network.reset_traffic()
-        jobs = network.run_queries(QUERIES * 4, origins=origins,
-                                   arrival_rate=300.0)
+        jobs = network.run_workload(Workload(
+            QUERIES * 4, PoissonArrivals(300.0), RoundRobinOrigins(origins)))
         self._reconcile(network, jobs)
 
     def test_single_query_still_charged_in_full(self):

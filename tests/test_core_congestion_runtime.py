@@ -1,4 +1,4 @@
-"""Tests for congestion-aware dispatch (AIMD flow control, E15 path).
+"""Tests for congestion-aware dispatch (AIMD flow control, E8 path).
 
 The load-bearing properties:
 
@@ -9,14 +9,22 @@ The load-bearing properties:
   window backs off, retransmits overflow drops, and every query still
   completes with the same top-k the uncontrolled run produces;
 * the congestion state is observable: trace retransmission counts,
-  dispatcher backlog/window, service-queue drops in the monitor.
+  dispatcher backlog/window, service-queue drops in the monitor;
+* E8's shape holds at tiny size: below saturation both disciplines
+  deliver the offered load, far past it the open loop sheds nearly all
+  its arrivals while AIMD holds goodput near capacity.
 """
 
 import pytest
 
 from repro.core.config import AlvisConfig
+from repro.core.keys import Key
 from repro.core.network import AlvisNetwork
+from repro.core.runtime import CongestionWindow, _PendingProbe, _ProbeWaiter
+from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.corpus import sample_documents
+from repro.eval.congestion import (overload_point, reference_query,
+                                   remote_origin)
 from repro.eval.monitor import NetworkMonitor
 
 QUERIES = ["scalable peer retrieval",
@@ -45,9 +53,9 @@ def doc_ids(results):
 def run_burst(network, copies=8, rate=400.0):
     """A same-origin burst of concurrent queries (the congestion case)."""
     origin = network.peer_ids()[0]
-    workload = (QUERIES * copies)[: 3 * copies]
-    return network.run_queries(workload, origins=[origin],
-                               arrival_rate=rate)
+    return network.run_workload(Workload(
+        queries=(QUERIES * copies)[: 3 * copies],
+        arrival=PoissonArrivals(rate), origins=RoundRobinOrigins((origin,))))
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +210,32 @@ class TestSizeTriggeredFlush:
         assert dispatcher.early_flushes == 0
 
 
+class TestBacklogMerging:
+    def test_backlogged_batches_for_one_owner_fuse(self):
+        # Probe batches held back by a full window merge per owner:
+        # keys deduplicated (counted as coalesced), participants joined.
+        network = build_network(congestion_control=True)
+        origin, owner = network.peer_ids()[:2]
+        dispatcher = network.runtime.dispatcher(origin)
+        while dispatcher.cwnd.can_send():
+            dispatcher.cwnd.on_send()
+        first, shared, last = Key(["alpha"]), Key(["beta"]), Key(["gamma"])
+        waiters = [_ProbeWaiter([(first, owner), (shared, owner)]),
+                   _ProbeWaiter([(shared, owner), (last, owner)])]
+        dispatcher._submit(_PendingProbe(owner=owner, keys=[first, shared],
+                                         participants=[waiters[0]]))
+        dispatcher._submit(_PendingProbe(owner=owner, keys=[shared, last],
+                                         participants=[waiters[1]],
+                                         attempts=2, sent_bytes=40))
+        assert dispatcher.backlog == 1
+        merged = dispatcher._backlog[0]
+        assert merged.keys == [first, shared, last]
+        assert merged.participants == waiters
+        assert merged.attempts == 2
+        assert merged.sent_bytes == 40
+        assert dispatcher.coalesced_keys == 1
+
+
 # ----------------------------------------------------------------------
 # Observability
 # ----------------------------------------------------------------------
@@ -266,3 +300,156 @@ class TestConfigValidation:
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             AlvisConfig(**overrides)
+
+
+# ----------------------------------------------------------------------
+# The AIMD window
+# ----------------------------------------------------------------------
+
+class TestCongestionWindow:
+    """The AIMD core each origin's dispatch queue runs."""
+
+    def test_additive_increase_on_ack(self):
+        window = CongestionWindow(initial=2.0, max_window=10.0)
+        window.on_send()
+        window.on_ack(now=0.0)
+        assert window.window == pytest.approx(2.5)
+        assert window.outstanding == 0
+        assert window.acks == 1
+
+    def test_can_send_respects_window(self):
+        window = CongestionWindow(initial=2.0)
+        assert window.can_send()
+        window.on_send()
+        window.on_send()
+        assert not window.can_send()
+        window.on_ack(now=0.0)
+        assert window.can_send()
+
+    def test_decrease_at_most_once_per_rtt(self):
+        # A burst of drops inside one RTT is ONE congestion event.
+        window = CongestionWindow(initial=16.0, initial_rtt=0.1)
+        for _ in range(4):
+            window.on_send()
+        window.on_drop(now=1.0)
+        window.on_drop(now=1.04)
+        window.on_drop(now=1.09)
+        assert window.window == pytest.approx(8.0)
+        assert window.decreases == 1
+        assert window.drops == 3
+        # A drop one RTT later is a fresh congestion event.
+        window.on_drop(now=1.11)
+        assert window.window == pytest.approx(4.0)
+        assert window.decreases == 2
+
+    def test_window_floor_and_cap(self):
+        window = CongestionWindow(initial=2.0, max_window=2.5,
+                                  initial_rtt=0.1)
+        window.on_send()
+        window.on_ack(now=0.0)
+        window.on_send()
+        window.on_ack(now=0.0)
+        assert window.window == pytest.approx(2.5)    # capped
+        for step in range(5):
+            window.on_send()
+            window.on_drop(now=float(step))
+        assert window.window == pytest.approx(1.0)    # floored
+
+    def test_ack_and_drop_release_slots(self):
+        window = CongestionWindow(initial=4.0)
+        for _ in range(3):
+            window.on_send()
+        assert window.outstanding == 3
+        window.on_ack(now=0.0)
+        window.on_drop(now=0.0)
+        assert window.outstanding == 1
+
+    def test_srtt_learning(self):
+        window = CongestionWindow(initial=2.0)
+        window.on_send()
+        window.on_ack(now=0.0, rtt_sample=0.2)
+        assert window.srtt == pytest.approx(0.2)      # first sample seeds
+        window.on_send()
+        window.on_ack(now=0.0, rtt_sample=0.4)
+        assert 0.2 < window.srtt < 0.4                # smoothed
+
+    def test_trajectory_recorded(self):
+        window = CongestionWindow(initial=2.0, initial_rtt=0.1)
+        window.on_send()
+        window.on_ack(now=1.0)
+        window.on_send()
+        window.on_drop(now=2.0)
+        times = [time for time, _w in window.trajectory]
+        assert times == [1.0, 2.0]
+
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            CongestionWindow(initial=0.5, min_window=1.0)
+        with pytest.raises(ValueError):
+            CongestionWindow(initial=8.0, max_window=4.0)
+
+    def test_repr_reports_state(self):
+        window = CongestionWindow(initial=2.0, initial_rtt=0.1)
+        window.on_send()
+        window.on_send()
+        window.on_drop(now=1.0)
+        assert repr(window) == ("CongestionWindow(window=1.00, "
+                                "outstanding=1, acks=0, drops=1, "
+                                "decreases=1)")
+
+
+# ----------------------------------------------------------------------
+# E8's shape at tiny size
+# ----------------------------------------------------------------------
+
+class TestE8Shape:
+    """One origin, one hot key, per-probe traffic: a broken controller
+    fails here, not only in a benchmark run."""
+
+    SERVICE = dict(service_rate=40.0, queue_capacity=10,
+                   service_reject_cost=0.5)
+    TERMS = ("peer",)
+
+    def _network(self, **overrides):
+        network = AlvisNetwork(num_peers=16, seed=1234, config=AlvisConfig(
+            batch_lookups=False, **overrides))
+        network.distribute_documents(sample_documents())
+        network.build_index(mode="single")
+        return network
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        reference = self._network()
+        origin = remote_origin(reference, self.TERMS)
+        top_k, owner_messages = reference_query(reference, origin,
+                                                self.TERMS)
+        # The owner serves the lookup's last hop and the probe.
+        assert owner_messages == 2
+        capacity = self.SERVICE["service_rate"] / owner_messages
+        points = {factor: {controlled: overload_point(
+            self._network(congestion_control=controlled, **self.SERVICE),
+            origin, self.TERMS, factor * capacity, span=1.0)
+            for controlled in (False, True)} for factor in (0.5, 5.0)}
+        return capacity, tuple(top_k), points
+
+    def test_below_saturation_both_disciplines_keep_up(self, sweep):
+        capacity, top_k, points = sweep
+        for point in points[0.5].values():
+            assert point["offered"] < capacity
+            assert point["queue_drops"] == 0
+            assert point["lost_probes"] == 0
+            assert point["results"] == {top_k}
+        assert points[0.5][False]["goodput"] == pytest.approx(
+            points[0.5][True]["goodput"])
+
+    def test_far_past_saturation_aimd_avoids_collapse(self, sweep):
+        capacity, top_k, points = sweep
+        open_loop, aimd = points[5.0][False], points[5.0][True]
+        assert open_loop["waste"] > 0.5
+        assert aimd["waste"] < 0.2
+        assert aimd["goodput"] >= 0.8 * capacity
+        assert aimd["goodput"] > 2 * open_loop["goodput"]
+        assert aimd["lost_probes"] == 0
+        assert aimd["results"] == {top_k}
+        assert aimd["queue_drops"] > 0
+        assert aimd["window_decreases"] > 0

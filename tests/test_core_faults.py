@@ -14,6 +14,7 @@ from repro.core.config import AlvisConfig
 from repro.core.keys import Key
 from repro.core.lattice import ProbeStatus
 from repro.core.network import AlvisNetwork
+from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.dht.ring import HOP_BATCH_BASE_BYTES, HOP_KEY_BYTES
 from repro.corpus import sample_documents
 from repro.net import protocol
@@ -266,8 +267,8 @@ class TestCrashUnderLoad:
         # catches a request genuinely in flight.
         network.simulator.schedule(
             0.15, lambda: network.fail_peer(victim))
-        jobs = network.run_queries(QUERIES * 4, origins=origins,
-                                   arrival_rate=200.0)
+        jobs = network.run_workload(Workload(
+            QUERIES * 4, PoissonArrivals(200.0), RoundRobinOrigins(origins)))
         assert all(job.done for job in jobs)
         assert network.runtime.active == 0
         assert victim not in network.peer_ids()
@@ -284,10 +285,10 @@ class TestCrashUnderLoad:
             0.001, lambda: via_method.fail_peer(victim))
         via_facade.simulator.schedule(
             0.001, lambda: via_facade.faults.crash(victim))
-        jobs_m = via_method.run_queries(QUERIES * 2, origins=origins,
-                                        arrival_rate=150.0)
-        jobs_f = via_facade.run_queries(QUERIES * 2, origins=origins,
-                                        arrival_rate=150.0)
+        workload = Workload(QUERIES * 2, PoissonArrivals(150.0),
+                            RoundRobinOrigins(origins))
+        jobs_m = via_method.run_workload(workload)
+        jobs_f = via_facade.run_workload(workload)
         assert [[d.doc_id for d in job.results] for job in jobs_m] == \
             [[d.doc_id for d in job.results] for job in jobs_f]
         assert [job.trace.dropped_count for job in jobs_m] == \

@@ -1,10 +1,9 @@
 """Tests for the redesigned workload API (``repro.core.workload``).
 
-The load-bearing properties: the legacy ``run_queries`` signature is now
-a thin shim over ``Workload``/``run_workload`` with *identical* traffic
-and traces under a fixed seed, and origin selection no longer shares an
-RNG stream with interarrival gaps (the old coupling made arrival times
-depend on whether origins were pinned).
+The load-bearing properties: the specs compile to a pure, ordered
+arrival schedule, and origin selection never shares an RNG stream with
+interarrival gaps (a shared stream made arrival times depend on whether
+origins were pinned).
 """
 
 import pytest
@@ -33,12 +32,6 @@ def build_network(**overrides):
 def doc_ids(jobs):
     return [[document.doc_id for document in job.results]
             for job in jobs]
-
-
-def trace_fingerprint(jobs):
-    return [(job.origin, tuple(job.terms), job.trace.started_at,
-             job.trace.latency, job.trace.bytes_sent,
-             job.trace.probes) for job in jobs]
 
 
 # ----------------------------------------------------------------------
@@ -79,38 +72,6 @@ class TestSpecs:
 
 
 # ----------------------------------------------------------------------
-# Shim equivalence: old signature == new API, byte for byte
-# ----------------------------------------------------------------------
-
-class TestShimEquivalence:
-    def test_uniform_origins_identical(self):
-        old = build_network()
-        new = build_network()
-        old_jobs = old.run_queries(QUERIES, arrival_rate=40.0)
-        new_jobs = new.run_workload(
-            Workload(queries=tuple(QUERIES),
-                     arrival=PoissonArrivals(rate=40.0),
-                     origins=UniformOrigins()))
-        assert doc_ids(old_jobs) == doc_ids(new_jobs)
-        assert trace_fingerprint(old_jobs) == trace_fingerprint(new_jobs)
-        assert old.bytes_by_kind() == new.bytes_by_kind()
-
-    def test_pinned_origins_identical(self):
-        old = build_network()
-        new = build_network()
-        origins = old.peer_ids()[:3]
-        old_jobs = old.run_queries(QUERIES, origins=origins,
-                                   arrival_rate=40.0)
-        new_jobs = new.run_workload(
-            Workload(queries=tuple(QUERIES),
-                     arrival=PoissonArrivals(rate=40.0),
-                     origins=RoundRobinOrigins(tuple(origins))))
-        assert doc_ids(old_jobs) == doc_ids(new_jobs)
-        assert trace_fingerprint(old_jobs) == trace_fingerprint(new_jobs)
-        assert old.bytes_by_kind() == new.bytes_by_kind()
-
-
-# ----------------------------------------------------------------------
 # The RNG-stream bugfix: origin choice no longer perturbs arrivals
 # ----------------------------------------------------------------------
 
@@ -118,23 +79,26 @@ class TestStreamSeparation:
     def test_arrival_times_independent_of_origin_policy(self):
         """Pinning origins must not change *when* queries arrive.
 
-        In the old ``run_queries`` the uniform origin draws and the
-        exponential gap draws interleaved on one stream, so the two
-        call forms produced different arrival schedules.  With derived
-        per-purpose streams the schedules are identical.
+        Were the uniform origin draws and the exponential gap draws
+        interleaved on one stream, the two origin policies would
+        produce different arrival schedules.  With derived per-purpose
+        streams the schedules are identical.
         """
         uniform = build_network()
         pinned = build_network()
-        uniform_jobs = uniform.run_queries(QUERIES, arrival_rate=40.0)
-        pinned_jobs = pinned.run_queries(
-            QUERIES, origins=pinned.peer_ids()[:2], arrival_rate=40.0)
+        uniform_jobs = uniform.run_workload(
+            Workload(QUERIES, PoissonArrivals(40.0), UniformOrigins()))
+        pinned_jobs = pinned.run_workload(Workload(
+            QUERIES, PoissonArrivals(40.0),
+            RoundRobinOrigins(pinned.peer_ids()[:2])))
         assert [job.trace.started_at for job in uniform_jobs] == \
             [job.trace.started_at for job in pinned_jobs]
 
     def test_consecutive_workloads_use_fresh_streams(self):
         network = build_network()
-        first = network.run_queries(QUERIES, arrival_rate=40.0)
-        second = network.run_queries(QUERIES, arrival_rate=40.0)
+        workload = Workload(QUERIES, PoissonArrivals(40.0))
+        first = network.run_workload(workload)
+        second = network.run_workload(workload)
         # Different derived streams: same queries, fresh schedule.
         gaps_first = [job.trace.started_at for job in first]
         start = gaps_first[-1]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import AlvisConfig
 from repro.core.network import AlvisNetwork
+from repro.core.workload import PoissonArrivals, Workload
 from repro.corpus.loader import sample_documents
 from repro.eval.monitor import NetworkMonitor
 
@@ -121,7 +122,8 @@ class TestKernelMetrics:
 
     def test_snapshot_reports_kernel_throughput(self):
         network = self._network()
-        network.run_queries(["peer network", "index"], arrival_rate=50.0)
+        network.run_workload(Workload(["peer network", "index"],
+                                      PoissonArrivals(50.0)))
         snapshot = NetworkMonitor(network).snapshot()
         assert snapshot.events_processed == \
             network.simulator.events_processed
@@ -137,7 +139,8 @@ class TestKernelMetrics:
 
     def test_render_includes_kernel_line(self):
         network = self._network()
-        network.run_queries(["peer network"], arrival_rate=50.0)
+        network.run_workload(Workload(["peer network"],
+                                      PoissonArrivals(50.0)))
         dashboard = NetworkMonitor(network).render()
         assert "events/s" in dashboard
         assert "peak RSS" in dashboard

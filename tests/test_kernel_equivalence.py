@@ -35,6 +35,7 @@ import pytest
 from repro.core.config import AlvisConfig
 from repro.core.fingerprint import state_fingerprint
 from repro.core.network import AlvisNetwork
+from repro.core.workload import PoissonArrivals, Workload
 from repro.corpus.synthetic import SyntheticCorpus, SyntheticCorpusConfig
 
 #: Index-phase traffic of the default-config build (10 peers, seed 2).
@@ -204,9 +205,9 @@ class TestKernelProfileEquivalence:
 
     def test_async_runtime_jobs_identical(self, corpus, workload):
         network = _build_network(corpus)
-        jobs = network.run_queries(
+        jobs = network.run_workload(Workload(
             [list(workload.pool[index]) for index in range(10)],
-            arrival_rate=200.0)
+            PoissonArrivals(200.0)))
         records = [_record(job.results, job.trace) for job in jobs]
         assert _summary(network, records=_digest(records)) == \
             GOLDEN["async_jobs"]

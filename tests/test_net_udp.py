@@ -157,14 +157,40 @@ class TestFailureSurfacing:
             silent.close()
 
     def test_handler_exception_nacked_not_fatal(self, pair):
-        requester, _host, endpoint = pair
+        requester, host, endpoint = pair
         message = Message(src=1, dst=42, kind=protocol.HARVEST_KEY,
                           payload={"key_terms": ["peer"], "k": 5})
         outcome = _outcome(requester, requester.request_async(message))
         assert outcome.status == "dropped"
+        # The host counted the error and kept its traceback.
+        assert host.handler_errors == 1
+        assert len(host.handler_tracebacks) == 1
+        assert "RuntimeError: handler exploded" in host.handler_tracebacks[0]
         # The host survives and keeps serving.
         reply, _rtt = requester.request(_probe())
         assert reply.payload["found"] is True
+
+    def test_local_handler_exception_is_a_drop(self, pair):
+        requester, _host, _endpoint = pair
+        requester.register(7, _ProbeHost())
+        message = Message(src=1, dst=7, kind=protocol.HARVEST_KEY,
+                          payload={"key_terms": ["peer"], "k": 5})
+        outcome = _outcome(requester, requester.request_async(message))
+        assert outcome.status == "dropped"
+        assert requester.handler_errors == 1
+        assert "RuntimeError: handler exploded" in \
+            requester.handler_tracebacks[-1]
+        assert "on_message" in requester.handler_tracebacks[-1]
+
+    def test_handler_tracebacks_are_bounded(self, pair):
+        requester, host, _endpoint = pair
+        message = Message(src=1, dst=42, kind=protocol.HARVEST_KEY,
+                          payload={"key_terms": ["peer"], "k": 5})
+        kept = host.handler_tracebacks.maxlen
+        for _ in range(kept + 2):
+            _outcome(requester, requester.request_async(message))
+        assert host.handler_errors == kept + 2
+        assert len(host.handler_tracebacks) == kept
 
     def test_request_async_never_raises(self, pair):
         requester, host, _endpoint = pair
