@@ -9,16 +9,28 @@ Series reproduced on the running overlay (:mod:`repro.eval.congestion`):
 goodput and wasted work vs. offered load for one origin querying one hot
 key on a 16-peer ``AlvisNetwork`` whose endpoints are bounded service
 queues, with the per-origin AIMD window (``congestion_control``) off —
-blind timeout retransmission — and on.  Every query is one lookup plus
-one ``ProbeKey`` (the paper's per-probe policy), so the owner, which
-receives the lookup's last hop and the probe, serves at most
-``service_rate / 2`` queries/s: the capacity the load factors scale.
+blind timeout retransmission of the probe — and on.  Every query is one
+lookup plus one ``ProbeKey`` (the paper's per-probe policy), so the
+owner, which receives the lookup's last hop and the probe, serves at
+most ``service_rate / 2`` queries/s: the capacity the load factors
+scale.  Goodput counts the queries answered while arrivals last, per
+second of the arrival span; waste is the share of service-queue
+arrivals shed.
 
 Expected shape: below saturation both disciplines deliver the offered
 load; past it the open loop's retransmissions fill the owner's queue and
 its shedding work, so goodput collapses and nearly every arrival is
 wasted, while AIMD holds goodput near capacity with little waste, loses
 no probe and returns the uncongested top-k.
+
+Reading the open-loop series: in either discipline a ``LookupHop`` that
+the owner's full queue rejects is retried by the ring's own fixed budget
+(``DHTRing.lookup_many_async``: up to 64 retries per lookup, backoff
+capped at 1 s), not by ``congestion_retransmit_timeout``.  Past
+saturation those lookup retries keep the open loop's owner saturated
+long after the arrivals stop (the makespan column), so the series
+measures the ring's retry policy as much as the runtime's
+retransmission (a FOUND item in ``CHANGES.md``).
 
 Smoke mode runs one seed over 4 virtual seconds of arrivals and writes
 nothing.  ``BENCH_FULL=1`` runs three seeds over 8 s at more load points
@@ -33,18 +45,10 @@ import statistics
 import pytest
 
 from benchmarks.conftest import (BENCH_SEED, BENCH_SMOKE, bench_stamp,
-                                 paper_config, write_bench_artifact)
-from repro.core.network import AlvisNetwork
-from repro.corpus import sample_documents
-from repro.eval.congestion import (overload_point, reference_query,
-                                   remote_origin)
+                                 write_bench_artifact)
+from repro.eval.congestion import SERVICE_MODEL, hot_key, overload_point
 from repro.eval.reporting import print_table
 
-#: Each endpoint serves 40 msgs/s with 10 queue slots; shedding an
-#: overflow arrival costs half a service slot.
-SERVICE_MODEL = dict(service_rate=40.0, queue_capacity=10,
-                     service_reject_cost=0.5)
-TERMS = ("peer",)
 SEEDS = (BENCH_SEED,) if BENCH_SMOKE else (BENCH_SEED, 1, 2)
 SPAN = 4.0 if BENCH_SMOKE else 8.0
 LOAD_FACTORS = ((0.5, 1.0, 2.0, 5.0, 10.0) if BENCH_SMOKE
@@ -56,27 +60,13 @@ METRICS = ("offered", "goodput", "waste", "queue_drops", "lost_probes",
            "makespan")
 
 
-def _network(seed, **overrides):
-    network = AlvisNetwork(num_peers=16, config=paper_config(**overrides),
-                           seed=seed)
-    network.distribute_documents(sample_documents())
-    network.build_index(mode="single")
-    return network
-
-
 def _sweep(seed):
-    reference = _network(seed)
-    origin = remote_origin(reference, TERMS)
-    top_k, owner_messages = reference_query(reference, origin, TERMS)
-    capacity = SERVICE_MODEL["service_rate"] / owner_messages
+    hot = hot_key(seed)
     points = {
-        factor: {label: overload_point(
-            _network(seed, congestion_control=controlled,
-                     **SERVICE_MODEL),
-            origin, TERMS, factor * capacity, SPAN)
-            for label, controlled in DISCIPLINES.items()}
+        factor: {label: overload_point(hot, factor, SPAN, controlled)
+                 for label, controlled in DISCIPLINES.items()}
         for factor in LOAD_FACTORS}
-    return {"capacity": capacity, "top_k": tuple(top_k), "points": points}
+    return {"capacity": hot.capacity, "top_k": hot.top_k, "points": points}
 
 
 @pytest.fixture(scope="module")

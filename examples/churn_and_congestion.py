@@ -18,10 +18,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AlvisConfig, AlvisNetwork
+from repro import AlvisNetwork
 from repro.corpus import sample_documents
-from repro.eval.congestion import (overload_point, reference_query,
-                                   remote_origin)
+from repro.eval.congestion import hot_key, overload_point
 from repro.eval.reporting import print_table
 
 
@@ -63,35 +62,19 @@ def churn_demo() -> None:
 
 
 def congestion_demo() -> None:
-    service = dict(service_rate=40.0, queue_capacity=10,
-                   service_reject_cost=0.5)
-    terms = ("peer",)
-
-    def network(**overrides) -> AlvisNetwork:
-        # The paper's per-probe traffic: one lookup plus one ProbeKey
-        # per single-key query.
-        built = AlvisNetwork(num_peers=16, seed=3, config=AlvisConfig(
-            batch_lookups=False, **overrides))
-        built.distribute_documents(sample_documents())
-        built.build_index(mode="single")
-        return built
-
-    reference = network()
-    origin = remote_origin(reference, terms)
-    _top_k, owner_messages = reference_query(reference, origin, terms)
-    capacity = service["service_rate"] / owner_messages
+    # The paper's per-probe traffic: one lookup plus one ProbeKey per
+    # single-key query, all aimed at one owner's service queue.
+    hot = hot_key(3)
     rows = []
-    for factor in (0.5, 1.0, 2.0, 5.0, 10.0):
-        open_loop, aimd = (
-            overload_point(network(congestion_control=controlled,
-                                   **service),
-                           origin, terms, factor * capacity, span=2.0)
-            for controlled in (False, True))
-        rows.append([factor, open_loop["goodput"], open_loop["queue_drops"],
+    for load in (0.5, 1.0, 2.0, 5.0, 10.0):
+        open_loop, aimd = (overload_point(hot, load, span=2.0,
+                                          congestion_control=controlled)
+                           for controlled in (False, True))
+        rows.append([load, open_loop["goodput"], open_loop["queue_drops"],
                      aimd["goodput"], aimd["queue_drops"]])
     print_table(
-        f"congestion: goodput vs offered load (capacity "
-        f"{capacity:.0f} queries/s)",
+        f"congestion: goodput while arrivals last vs offered load "
+        f"(capacity {hot.capacity:.0f} queries/s)",
         ["offered/capacity", "open-loop goodput", "open-loop drops",
          "AIMD goodput", "AIMD drops"], rows)
 

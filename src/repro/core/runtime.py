@@ -70,9 +70,10 @@ On top of the walk sit the engine's policies:
 * with ``congestion_control``, a per-origin AIMD
   :class:`CongestionWindow` (the NCA'06 controller of Klemm et al.)
   sits between the dispatch queue and the transport: it bounds how many
-  lookup rounds / probe messages may be outstanding, queues the excess,
-  retransmits probes a full service queue rejected, and flushes the
-  dispatch queue early once a window's worth of work is pending —
+  lookup rounds / probe messages may be outstanding, queues the excess
+  (drained oldest query first), retransmits probes a full service queue
+  rejected, and flushes the dispatch queue early once a window's worth
+  of work is pending —
   closed-loop flow control on the retrieval path, which E8 measures
   against blind retransmission (:mod:`repro.eval.congestion`).
 
@@ -96,6 +97,8 @@ timeout-free runs (``request_timeout = 0``, the default) outside QDI.
 from __future__ import annotations
 
 import collections
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
@@ -128,7 +131,8 @@ _CACHE_ENTRY_OVERHEAD = 16
 
 
 class CongestionWindow:
-    """A reusable AIMD congestion window (the NCA'06 / TCP-Reno core).
+    """The AIMD congestion window of each origin's dispatch queue (the
+    NCA'06 / TCP-Reno core).
 
     Tracks how many requests are outstanding against a real-valued
     window: acks open the window additively (+1 per window's worth of
@@ -140,8 +144,8 @@ class CongestionWindow:
 
     The window never goes below ``min_window``, so a gated sender always
     makes progress.  ``trajectory`` records ``(time, window)`` after
-    every change, bounded to the most recent ``trajectory_limit`` points
-    — the measurement hook for the congestion benchmarks.
+    every change, bounded to the most recent ``trajectory_limit`` points;
+    only the tests read it.
     """
 
     __slots__ = ("window", "min_window", "max_window", "outstanding",
@@ -235,19 +239,21 @@ class _LookupGrant:
 
 
 class _LookupWaiter:
-    __slots__ = ("key_ids", "future")
+    __slots__ = ("key_ids", "since", "future")
 
-    def __init__(self, key_ids: List[int]):
+    def __init__(self, key_ids: List[int], since: float):
         self.key_ids = key_ids
+        self.since = since                  #: the asking query's start
         self.future = Future()
 
 
 class _ProbeWaiter:
-    __slots__ = ("assignments", "future", "results", "remaining",
+    __slots__ = ("assignments", "since", "future", "results", "remaining",
                  "requests", "bytes_by_kind", "retransmissions")
 
-    def __init__(self, assignments: List[Tuple[Key, int]]):
+    def __init__(self, assignments: List[Tuple[Key, int]], since: float):
         self.assignments = assignments      #: ordered (key, owner peer)
+        self.since = since                  #: the asking query's start
         self.future = Future()
         self.results: Dict[Key, ProbeOutcome] = {}
         self.remaining = 0                  #: owner batches outstanding
@@ -274,6 +280,11 @@ class _PendingLookup:
 
     waiters: List[_LookupWaiter]
 
+    @property
+    def since(self) -> float:
+        """Start time of the oldest query this traversal serves."""
+        return min(waiter.since for waiter in self.waiters)
+
 
 @dataclass
 class _PendingProbe:
@@ -294,6 +305,11 @@ class _PendingProbe:
     single: bool = False
     attempts: int = 0
     sent_bytes: int = 0
+
+    @property
+    def since(self) -> float:
+        """Start time of the oldest query this probe serves."""
+        return min(waiter.since for waiter in self.participants)
 
     def request(self) -> Tuple[str, Dict]:
         """The wire kind and payload of this probe."""
@@ -331,7 +347,11 @@ class _OriginDispatcher:
     With ``congestion_control`` an AIMD :class:`CongestionWindow` gates
     the flushed work: each lookup traversal and each probe message is
     one outstanding unit; excess sends queue in ``_backlog`` and drain
-    as acks open the window.  Queue-overflow drops halve the window (at
+    as acks open the window, oldest query first: a FIFO over sends would
+    park each query's probe behind the lookups of every query that
+    arrived while its own lookup was out, so under sustained overload
+    the owner would stay busy while almost no query finished.
+    Queue-overflow drops halve the window (at
     most once per RTT), are retransmitted — window-paced — and once a
     window's worth of work is pending the flush fires early instead of
     waiting out the full ``dispatch_window``.
@@ -368,8 +388,10 @@ class _OriginDispatcher:
         #: the pending remote probes (the per-probe policy's messages).
         self._pending_probe_owners: set = set()
         self._pending_remote_probes = 0
-        self._backlog: Deque[Union[_PendingLookup, _PendingProbe]] = \
-            collections.deque()
+        #: Held-back sends, a heap of ``[since, sequence, send]``: the
+        #: oldest query first, ties in arrival order.
+        self._backlog: List[list] = []
+        self._sequence = itertools.count()
 
     @property
     def batched(self) -> bool:
@@ -383,18 +405,20 @@ class _OriginDispatcher:
 
     # ------------------------------------------------------------------
 
-    def lookup(self, key_ids: List[int]) -> Future:
-        """Ask for owner resolution of ``key_ids``; resolves to a
-        :class:`_LookupGrant`."""
-        waiter = _LookupWaiter(list(key_ids))
+    def lookup(self, key_ids: List[int], since: float) -> Future:
+        """Ask for owner resolution of ``key_ids`` for a query started
+        at ``since``; resolves to a :class:`_LookupGrant`."""
+        waiter = _LookupWaiter(list(key_ids), since)
         self._pending_lookups.append(waiter)
         self._schedule_flush()
         return waiter.future
 
-    def probe(self, assignments: List[Tuple[Key, int]]) -> Future:
-        """Ask for probes of ``(key, owner)`` pairs; resolves to the
-        :class:`_ProbeWaiter` carrying per-key outcomes and charges."""
-        waiter = _ProbeWaiter(list(assignments))
+    def probe(self, assignments: List[Tuple[Key, int]],
+              since: float) -> Future:
+        """Ask for probes of ``(key, owner)`` pairs for a query started
+        at ``since``; resolves to the :class:`_ProbeWaiter` carrying
+        per-key outcomes and charges."""
+        waiter = _ProbeWaiter(list(assignments), since)
         self._pending_probes.append(waiter)
         for _key, owner in waiter.assignments:
             if owner != self.origin:
@@ -486,35 +510,41 @@ class _OriginDispatcher:
         probe batches for the same owner fuse (keys deduplicated), and
         lookup traversals fuse into one shared round — so backpressure
         grows batches instead of queue length.  Per-probe sends never
-        merge."""
+        merge.  A merge that brings in an older query moves the fused
+        entry forward."""
         if self.batched:
-            for entry in self._backlog:
+            for held in self._backlog:
+                entry = held[2]
                 if type(entry) is not type(send):
                     continue
                 if isinstance(send, _PendingLookup):
                     entry.waiters.extend(send.waiters)
-                    return
-                if entry.owner != send.owner:
-                    continue
-                marks = set(entry.keys)
-                for key in send.keys:
-                    if key in marks:
-                        self.coalesced_keys += 1
-                    else:
-                        marks.add(key)
-                        entry.keys.append(key)
-                entry.participants.extend(send.participants)
-                entry.attempts = max(entry.attempts, send.attempts)
-                entry.sent_bytes += send.sent_bytes
+                else:
+                    if entry.owner != send.owner:
+                        continue
+                    marks = set(entry.keys)
+                    for key in send.keys:
+                        if key in marks:
+                            self.coalesced_keys += 1
+                        else:
+                            marks.add(key)
+                            entry.keys.append(key)
+                    entry.participants.extend(send.participants)
+                    entry.attempts = max(entry.attempts, send.attempts)
+                    entry.sent_bytes += send.sent_bytes
+                if send.since < held[0]:
+                    held[0] = send.since
+                    heapq.heapify(self._backlog)
                 return
-        self._backlog.append(send)
+        heapq.heappush(self._backlog,
+                       [send.since, next(self._sequence), send])
 
     def _drain_backlog(self) -> None:
         if self.cwnd is None:
             return
         while self._backlog and self.cwnd.can_send():
             self.cwnd.on_send()
-            self._dispatch(self._backlog.popleft())
+            self._dispatch(heapq.heappop(self._backlog)[2])
 
     # -- lookups --------------------------------------------------------
 
@@ -530,7 +560,8 @@ class _OriginDispatcher:
         # The per-probe policy: every key routes alone; the ask's grant
         # sums its keys' traversals.
         for waiter in waiters:
-            parts = [_LookupWaiter([key_id]) for key_id in waiter.key_ids]
+            parts = [_LookupWaiter([key_id], waiter.since)
+                     for key_id in waiter.key_ids]
             all_of([part.future for part in parts]).add_done_callback(
                 lambda done, waiter=waiter:
                     waiter.future.resolve(_merge_grants(done.value)))
@@ -994,7 +1025,8 @@ class AsyncQueryRuntime:
                     owner = owners_by_id[key.key_id]
                     owners[key] = owner
                     assignments.append((key, owner))
-                probe_future = self.dispatcher(origin).probe(assignments)
+                probe_future = self.dispatcher(origin).probe(
+                    assignments, job.trace.started_at)
             if (config.pipeline_levels and depth + 1 < len(levels)):
                 candidates = [key for key in levels[depth + 1]
                               if key not in excluded]
@@ -1037,7 +1069,8 @@ class AsyncQueryRuntime:
         owners, misses, remember = self.network.cached_owners(job.origin,
                                                               key_ids)
         if misses:
-            grant = yield self.dispatcher(job.origin).lookup(misses)
+            grant = yield self.dispatcher(job.origin).lookup(
+                misses, job.trace.started_at)
             trace.lookup_hops += grant.messages
             self._charge(trace, protocol.LOOKUP_HOP, grant.bytes)
             remember(grant.owners)

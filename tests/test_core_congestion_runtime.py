@@ -23,8 +23,7 @@ from repro.core.network import AlvisNetwork
 from repro.core.runtime import CongestionWindow, _PendingProbe, _ProbeWaiter
 from repro.core.workload import PoissonArrivals, RoundRobinOrigins, Workload
 from repro.corpus import sample_documents
-from repro.eval.congestion import (overload_point, reference_query,
-                                   remote_origin)
+from repro.eval.congestion import hot_key, overload_point
 from repro.eval.monitor import NetworkMonitor
 
 QUERIES = ["scalable peer retrieval",
@@ -220,20 +219,61 @@ class TestBacklogMerging:
         while dispatcher.cwnd.can_send():
             dispatcher.cwnd.on_send()
         first, shared, last = Key(["alpha"]), Key(["beta"]), Key(["gamma"])
-        waiters = [_ProbeWaiter([(first, owner), (shared, owner)]),
-                   _ProbeWaiter([(shared, owner), (last, owner)])]
+        waiters = [_ProbeWaiter([(first, owner), (shared, owner)], 0.0),
+                   _ProbeWaiter([(shared, owner), (last, owner)], 0.0)]
         dispatcher._submit(_PendingProbe(owner=owner, keys=[first, shared],
                                          participants=[waiters[0]]))
         dispatcher._submit(_PendingProbe(owner=owner, keys=[shared, last],
                                          participants=[waiters[1]],
                                          attempts=2, sent_bytes=40))
         assert dispatcher.backlog == 1
-        merged = dispatcher._backlog[0]
+        merged = dispatcher._backlog[0][2]
         assert merged.keys == [first, shared, last]
         assert merged.participants == waiters
         assert merged.attempts == 2
         assert merged.sent_bytes == 40
         assert dispatcher.coalesced_keys == 1
+
+    def test_backlog_drains_oldest_query_first(self):
+        # A probe of an older query overtakes lookups of newer queries
+        # that reached the backlog before it; equal ages keep their
+        # arrival order.
+        network = build_network(congestion_control=True)
+        origin, *owners = network.peer_ids()[:5]
+        dispatcher = network.runtime.dispatcher(origin)
+        while dispatcher.cwnd.can_send():
+            dispatcher.cwnd.on_send()
+        sends = [_PendingProbe(owner=owner, keys=[Key(["key"])],
+                               participants=[_ProbeWaiter(
+                                   [(Key(["key"]), owner)], since)])
+                 for owner, since in zip(owners, (2.0, 2.0, 1.0, 3.0))]
+        for send in sends:
+            dispatcher._submit(send)
+        drained = []
+        dispatcher._dispatch = drained.append
+        dispatcher.cwnd.outstanding = 0
+        dispatcher.cwnd.window = len(sends)
+        dispatcher._drain_backlog()
+        assert drained == [sends[2], sends[0], sends[1], sends[3]]
+
+    def test_merge_with_an_older_query_moves_forward(self):
+        network = build_network(congestion_control=True)
+        origin, first_owner, second_owner = network.peer_ids()[:3]
+        dispatcher = network.runtime.dispatcher(origin)
+        while dispatcher.cwnd.can_send():
+            dispatcher.cwnd.on_send()
+
+        def probe(owner, since):
+            key = Key([f"key{owner}"])
+            return _PendingProbe(owner=owner, keys=[key],
+                                 participants=[_ProbeWaiter([(key, owner)],
+                                                            since)])
+        dispatcher._submit(probe(first_owner, 1.0))
+        dispatcher._submit(probe(second_owner, 2.0))
+        dispatcher._submit(probe(second_owner, 0.5))
+        assert dispatcher.backlog == 2
+        assert dispatcher._backlog[0][2].owner == second_owner
+        assert dispatcher._backlog[0][2].since == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -404,33 +444,19 @@ class TestCongestionWindow:
 
 class TestE8Shape:
     """One origin, one hot key, per-probe traffic: a broken controller
-    fails here, not only in a benchmark run."""
-
-    SERVICE = dict(service_rate=40.0, queue_capacity=10,
-                   service_reject_cost=0.5)
-    TERMS = ("peer",)
-
-    def _network(self, **overrides):
-        network = AlvisNetwork(num_peers=16, seed=1234, config=AlvisConfig(
-            batch_lookups=False, **overrides))
-        network.distribute_documents(sample_documents())
-        network.build_index(mode="single")
-        return network
+    fails here, not only in a benchmark run.  Goodput counts only the
+    queries answered while arrivals last, so a controller that keeps the
+    owner busy but finishes its queries late fails too."""
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        reference = self._network()
-        origin = remote_origin(reference, self.TERMS)
-        top_k, owner_messages = reference_query(reference, origin,
-                                                self.TERMS)
+        hot = hot_key(1234)
         # The owner serves the lookup's last hop and the probe.
-        assert owner_messages == 2
-        capacity = self.SERVICE["service_rate"] / owner_messages
-        points = {factor: {controlled: overload_point(
-            self._network(congestion_control=controlled, **self.SERVICE),
-            origin, self.TERMS, factor * capacity, span=1.0)
-            for controlled in (False, True)} for factor in (0.5, 5.0)}
-        return capacity, tuple(top_k), points
+        assert hot.owner_messages == 2
+        points = {load: {controlled: overload_point(
+            hot, load, span=2.0, congestion_control=controlled)
+            for controlled in (False, True)} for load in (0.5, 5.0)}
+        return hot.capacity, hot.top_k, points
 
     def test_below_saturation_both_disciplines_keep_up(self, sweep):
         capacity, top_k, points = sweep
