@@ -7,7 +7,8 @@ batching + probe caching + top-k early termination, against the paper's
 per-probe path — with the requirement that the returned top-k documents
 are identical.
 
-Acceptance targets tracked by ``BENCH_query_engine.json``:
+Acceptance targets (a ``BENCH_FULL=1`` run records them in
+``BENCH_query_engine.json``; smoke runs write nothing):
 
 * >= 30% fewer per-query network messages (batched lookups + cache),
 * probe-cache hit rate > 50% under the Zipf workload,

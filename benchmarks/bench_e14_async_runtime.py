@@ -15,7 +15,8 @@ the virtual clock):
 * ``async_batched`` — the runtime plus cross-query dispatch batching
   (``dispatch_window``) and level pipelining (``pipeline_levels``).
 
-Acceptance targets tracked by ``BENCH_async_runtime.json``:
+Acceptance targets (a ``BENCH_FULL=1`` run records them in
+``BENCH_async_runtime.json``; smoke runs write nothing):
 
 * every query of the open workload completes, with p95 latency and
   messages-per-query reported;

@@ -17,7 +17,8 @@ stream as the reference.  Three things become measurable only here:
   seed, asserted, which is the acceptance bar for the pluggable
   transport refactor.
 
-Emits ``benchmarks/BENCH_udp_cluster.json``.
+A ``BENCH_FULL=1`` run writes ``benchmarks/BENCH_udp_cluster.json``;
+smoke runs write nothing.
 """
 
 from __future__ import annotations

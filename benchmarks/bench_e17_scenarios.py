@@ -2,9 +2,10 @@
 
 Runs every named scenario of :mod:`repro.scenarios.registry` (churn
 storm, flash crowd, partition+heal, graceful drain, slow minority, and
-the Poisson baseline) and records recall@k / p99 / goodput per scenario
-in ``BENCH_scenarios.json``, with each scenario's declared pass
-criteria evaluated.
+the Poisson baseline) and reports recall@k / p99 / goodput per scenario,
+with each scenario's declared pass criteria evaluated (a ``BENCH_FULL=1``
+run records them in ``BENCH_scenarios.json``; smoke runs write
+nothing).
 
 Acceptance targets:
 

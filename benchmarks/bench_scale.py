@@ -102,9 +102,7 @@ def test_scale_sweep(bench_smoke, capsys):
 
     legs = [_run_leg(peers, queries=queries, churn=churn,
                      timeout=timeout) for peers in sizes]
-    if not bench_smoke:
-        write_bench_artifact("scale", {"legs": [_strip(leg)
-                                                for leg in legs]})
+    write_bench_artifact("scale", {"legs": [_strip(leg) for leg in legs]})
     _report(legs, capsys)
 
     for leg in legs:

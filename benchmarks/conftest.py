@@ -6,10 +6,10 @@ Every benchmark prints its result table through ``capsys.disabled()`` so
 the series appear on the terminal (and in ``bench_output.txt``).
 
 Two run modes: plain ``pytest benchmarks/`` runs in *smoke* mode (scaled
-down so each experiment finishes in seconds — CI-friendly); set
-``BENCH_FULL=1`` in the environment for full-size runs.  Benchmarks that
-track the perf trajectory persist a JSON artifact via
-:func:`write_bench_artifact` (``benchmarks/BENCH_<name>.json``).
+down so each experiment finishes in seconds — CI-friendly) and writes no
+file; set ``BENCH_FULL=1`` in the environment for full-size runs, whose
+results persist as JSON via :func:`write_bench_artifact`
+(``benchmarks/BENCH_<name>.json``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import pathlib
 import platform
 import subprocess
+from typing import Optional
 
 import pytest
 
@@ -89,14 +90,16 @@ def _bench_profiler(request):
         stats.sort_stats("cumulative").print_stats(15)
 
 
-def write_bench_artifact(name: str, payload: dict) -> pathlib.Path:
-    """Persist one benchmark's result dict as ``BENCH_<name>.json``.
-
-    The artifact records the run mode so trajectory tooling never mixes
-    smoke-mode numbers with full-size ones.
+def write_bench_artifact(name: str,
+                         payload: dict) -> Optional[pathlib.Path]:
+    """Persist one full-mode benchmark's result dict as
+    ``BENCH_<name>.json``; a smoke run writes nothing (returns None), so
+    it can never overwrite a committed full-size record.
     """
+    if BENCH_SMOKE:
+        return None
     path = _ARTIFACT_DIR / f"BENCH_{name}.json"
-    document = {"name": name, "smoke": BENCH_SMOKE, "seed": BENCH_SEED,
+    document = {"name": name, "smoke": False, "seed": BENCH_SEED,
                 "peak_rss_kb": peak_rss_kb()}
     document.update(payload)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",

@@ -175,10 +175,11 @@ def main() -> None:
     #        python -m repro --peers 8 cluster --hosts 2 --queries 3
     #
     #    bench_e16_udp_cluster.py replays an E14-style Zipf workload
-    #    this way and writes BENCH_udp_cluster.json: its bytes/query
-    #    equals the simulator's (the wire codec is size-exact against
-    #    the byte model), while its latency percentiles are *measured*
-    #    wall-clock round trips — numbers the simulator can only model.
+    #    this way (BENCH_FULL=1 records it in BENCH_udp_cluster.json):
+    #    its bytes/query equals the simulator's (the wire codec is
+    #    size-exact against the byte model), while its latency
+    #    percentiles are *measured* wall-clock round trips — numbers the
+    #    simulator can only model.
     from repro.cluster import ClusterDriver, ClusterSpec
 
     print("\nreal multi-process UDP cluster (same engine, real sockets):")

@@ -194,15 +194,15 @@ class AlvisConfig:
     #: AIMD window cap per origin.
     congestion_max_window: float = 64.0
 
-    #: Retransmission budget for a probe message dropped by a full service
-    #: queue; once exhausted the probes resolve as dropped.  0 disables
-    #: retransmission entirely.
+    #: Retransmission budget for a ``LookupHop`` or probe message a full
+    #: service queue rejected; once it is spent, the keys it carried
+    #: resolve as dropped probes.  0 disables retransmission entirely.
     congestion_max_retransmits: int = 20
 
-    #: Blind-retransmission delay (virtual seconds) used for overflow
-    #: drops when ``congestion_control`` is *off* — the open-loop
-    #: behaviour whose collapse E8 measures.  With the AIMD window on,
-    #: retransmissions are paced by the window instead.
+    #: With ``congestion_control`` off (E8's open loop), the virtual
+    #: seconds before a rejected request's first blind retransmission;
+    #: each later retry waits twice as long, up to four timeouts.  With
+    #: the AIMD window on, the window paces retransmissions instead.
     congestion_retransmit_timeout: float = 0.25
 
     #: Per-endpoint service rate (messages/second) of the bounded

@@ -47,9 +47,9 @@ __all__ = ["ProbeStatus", "ProbeRecord", "ExplorationOutcome",
            "LatticeExplorer"]
 
 #: The probe callback: one lattice level's unexcluded keys -> per-key
-#: (found, posting list or None), in the same order.  A probe lost to
-#: churn may report itself with a third element: (False, None, True)
-#: records the node as :attr:`ProbeStatus.DROPPED`.
+#: (found, posting list or None), in the same order.  A lost probe may
+#: report itself with a third element: (False, None, True) records the
+#: node as :attr:`ProbeStatus.DROPPED`.
 ProbeLevelFn = Callable[[List[Key]],
                         Sequence[Tuple[bool, Optional[PostingList]]]]
 
@@ -66,7 +66,7 @@ class ProbeStatus(enum.Enum):
     MISSING = "missing"           #: probed but not in the global index
     SKIPPED = "skipped"           #: excluded by a dominating key
     PRUNED = "pruned"             #: cut off by top-k early termination
-    DROPPED = "dropped"           #: probe lost to churn (owner departed)
+    DROPPED = "dropped"           #: probe lost to churn or congestion
 
 
 @dataclass

@@ -77,9 +77,9 @@ class QueryTrace:
     refined: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Probe batches retransmitted after congestion (service-queue
-    #: overflow) drops that this query rode in — like
-    #: ``request_messages``, a per-participant count, not a wire count.
+    #: Lookups and probes retransmitted after service-queue overflow
+    #: drops that this query rode in — like ``request_messages``, a
+    #: per-participant count, not a wire count.
     retransmissions: int = 0
     results: List[RankedDocument] = field(default_factory=list)
 
@@ -102,7 +102,8 @@ class QueryTrace:
 
     @property
     def dropped_count(self) -> int:
-        """Probes lost to churn (owner departed mid-query)."""
+        """Probes lost to churn (owner departed mid-query) or to
+        congestion (rejected past the retransmission budget)."""
         return sum(1 for _key, status in self.probes
                    if status == ProbeStatus.DROPPED)
 

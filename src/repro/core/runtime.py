@@ -67,15 +67,18 @@ On top of the walk sit the engine's policies:
   resolution and delivery resolves as :attr:`ProbeStatus.DROPPED` and
   is counted in the trace;
 
-* with ``congestion_control``, a per-origin AIMD
-  :class:`CongestionWindow` (the NCA'06 controller of Klemm et al.)
-  sits between the dispatch queue and the transport: it bounds how many
-  lookup rounds / probe messages may be outstanding, queues the excess
-  (drained oldest query first), retransmits probes a full service queue
-  rejected, and flushes the dispatch queue early once a window's worth
-  of work is pending —
-  closed-loop flow control on the retrieval path, which E8 measures
-  against blind retransmission (:mod:`repro.eval.congestion`).
+* a request a full service queue rejects, ``LookupHop`` or probe, is
+  retransmitted by the dispatch queue under one policy (a lookup resumes
+  at the rejecting node); once ``congestion_max_retransmits`` is spent
+  its keys are dropped probes, never an oracle guess.  With
+  ``congestion_control``, a per-origin AIMD :class:`CongestionWindow`
+  (the NCA'06 controller of Klemm et al.) sits between the dispatch
+  queue and the transport: it bounds how many lookup rounds / probe
+  messages may be outstanding, queues the excess (drained oldest query
+  first), counts every rejection as a drop and paces the retries, and
+  flushes the dispatch queue early once a window's worth of work is
+  pending — closed-loop flow control on the retrieval path, which E8
+  measures against blind retransmission (:mod:`repro.eval.congestion`).
 
 Byte attribution.  A trace is charged for the messages its query sends
 and receives: lookup hops, probes, QDI popularity feedback and
@@ -96,11 +99,10 @@ timeout-free runs (``request_timeout = 0``, the default) outside QDI.
 
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING, Union)
 
 from repro.core.cache import LRUByteCache
@@ -129,6 +131,12 @@ ProbeOutcome = Tuple[bool, Optional[object], bool]
 #: Fixed per-entry bookkeeping charged against the cache byte budget.
 _CACHE_ENTRY_OVERHEAD = 16
 
+#: The congestion window's floor: a gated sender always makes progress.
+_MIN_WINDOW = 1.0
+
+#: Open-loop retransmission delays double up to this many timeouts.
+_MAX_BACKOFF = 4.0
+
 
 class CongestionWindow:
     """The AIMD congestion window of each origin's dispatch queue (the
@@ -142,35 +150,28 @@ class CongestionWindow:
     once-per-RTT guard is a smoothed estimate fed by ack samples (seeded
     with ``initial_rtt`` so the guard works before the first ack).
 
-    The window never goes below ``min_window``, so a gated sender always
-    makes progress.  ``trajectory`` records ``(time, window)`` after
-    every change, bounded to the most recent ``trajectory_limit`` points;
-    only the tests read it.
+    The window never goes below one outstanding request
+    (:data:`_MIN_WINDOW`), so a gated sender always makes progress.
     """
 
-    __slots__ = ("window", "min_window", "max_window", "outstanding",
-                 "acks", "drops", "decreases", "srtt", "trajectory",
-                 "trajectory_limit", "_last_decrease")
+    __slots__ = ("window", "max_window", "outstanding", "acks", "drops",
+                 "decreases", "srtt", "_last_decrease")
 
     def __init__(self, initial: float = 2.0, max_window: float = 256.0,
-                 min_window: float = 1.0, initial_rtt: float = 0.0,
-                 trajectory_limit: int = 2048):
-        if initial < min_window:
+                 initial_rtt: float = 0.0):
+        if initial < _MIN_WINDOW:
             raise ValueError(
-                f"initial window {initial} below min_window {min_window}")
+                f"initial window {initial} below the minimum {_MIN_WINDOW}")
         if max_window < initial:
             raise ValueError(
                 f"max_window {max_window} below initial window {initial}")
         self.window = float(initial)
-        self.min_window = float(min_window)
         self.max_window = float(max_window)
         self.outstanding = 0
         self.acks = 0
         self.drops = 0
         self.decreases = 0            #: congestion events (not raw drops)
         self.srtt = float(initial_rtt)
-        self.trajectory: Deque = collections.deque(maxlen=trajectory_limit)
-        self.trajectory_limit = trajectory_limit
         self._last_decrease: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -194,7 +195,6 @@ class CongestionWindow:
                          0.875 * self.srtt + 0.125 * rtt_sample)
         self.window = min(self.max_window,
                           self.window + 1.0 / max(self.window, 1.0))
-        self.trajectory.append((now, self.window))
 
     def on_drop(self, now: float = 0.0) -> None:
         """One request dropped: release its slot; decrease at most once
@@ -203,10 +203,9 @@ class CongestionWindow:
         self.drops += 1
         if (self._last_decrease is None
                 or now - self._last_decrease >= self.srtt):
-            self.window = max(self.min_window, self.window / 2.0)
+            self.window = max(_MIN_WINDOW, self.window / 2.0)
             self.decreases += 1
             self._last_decrease = now
-            self.trajectory.append((now, self.window))
 
     def __repr__(self) -> str:
         return (f"CongestionWindow(window={self.window:.2f}, "
@@ -229,22 +228,28 @@ class QueryJob:
     future: Future = field(default_factory=Future)
 
 
-@dataclass
-class _LookupGrant:
-    """A dispatch queue's answer to one query's owner-resolution ask."""
-
-    owners: Dict[int, int]      #: key id -> owning *peer*
-    messages: int               #: hop messages that carried this ask's keys
-    bytes: int                  #: this ask's pro-rated share of their size
-
-
 class _LookupWaiter:
-    __slots__ = ("key_ids", "since", "future")
+    """One query's owner-resolution ask; resolves with itself."""
+
+    __slots__ = ("key_ids", "since", "future", "owners", "remaining",
+                 "messages", "bytes", "retransmissions")
 
     def __init__(self, key_ids: List[int], since: float):
         self.key_ids = key_ids
         self.since = since                  #: the asking query's start
         self.future = Future()
+        #: key id -> owning *peer*, without keys given up on.
+        self.owners: Dict[int, int] = {}
+        self.remaining = 1                  #: traversals outstanding
+        self.messages = 0                   #: hop messages carrying its keys
+        self.bytes = 0                      #: its pro-rated share of them
+        self.retransmissions = 0            #: retried traversals it rode in
+
+    def finish(self) -> None:
+        """One traversal carrying its keys is over."""
+        self.remaining -= 1
+        if not self.remaining:
+            self.future.resolve(self)
 
 
 class _ProbeWaiter:
@@ -276,14 +281,18 @@ class _PendingLookup:
 
     Under frontier batching, backlogged traversals merge: their waiters
     route in one traversal once a slot opens, so backpressure
-    *increases* sharing."""
+    *increases* sharing.  A ``frontier`` (``{node: keys}``) starts the
+    walk elsewhere and never merges: a per-probe key, or a retry from
+    where a full service queue rejected hops (the walk's ``rejected``)."""
 
-    waiters: List[_LookupWaiter]
+    participants: List[_LookupWaiter]
+    frontier: Optional[Dict[int, List[int]]] = None
+    attempts: int = 0
 
     @property
     def since(self) -> float:
         """Start time of the oldest query this traversal serves."""
-        return min(waiter.since for waiter in self.waiters)
+        return min(waiter.since for waiter in self.participants)
 
 
 @dataclass
@@ -344,17 +353,18 @@ class _OriginDispatcher:
     nothing merges: each one-key ask is its own traversal or
     ``ProbeKey``.
 
-    With ``congestion_control`` an AIMD :class:`CongestionWindow` gates
+    A send a full service queue rejects — a lookup traversal with a
+    rejected hop, or a probe — is retried by :meth:`_retransmit`.  With
+    ``congestion_control`` an AIMD :class:`CongestionWindow` gates
     the flushed work: each lookup traversal and each probe message is
     one outstanding unit; excess sends queue in ``_backlog`` and drain
     as acks open the window, oldest query first: a FIFO over sends would
     park each query's probe behind the lookups of every query that
     arrived while its own lookup was out, so under sustained overload
     the owner would stay busy while almost no query finished.
-    Queue-overflow drops halve the window (at
-    most once per RTT), are retransmitted — window-paced — and once a
-    window's worth of work is pending the flush fires early instead of
-    waiting out the full ``dispatch_window``.
+    Rejections halve the window (at most once per RTT) and their retries
+    are window-paced; once a window's worth of work is pending the flush
+    fires early instead of waiting out the full ``dispatch_window``.
     """
 
     def __init__(self, runtime: "AsyncQueryRuntime", origin: int):
@@ -407,7 +417,8 @@ class _OriginDispatcher:
 
     def lookup(self, key_ids: List[int], since: float) -> Future:
         """Ask for owner resolution of ``key_ids`` for a query started
-        at ``since``; resolves to a :class:`_LookupGrant`."""
+        at ``since``; resolves to the :class:`_LookupWaiter` carrying
+        the owners and charges."""
         waiter = _LookupWaiter(list(key_ids), since)
         self._pending_lookups.append(waiter)
         self._schedule_flush()
@@ -508,17 +519,19 @@ class _OriginDispatcher:
             self, send: Union[_PendingLookup, _PendingProbe]) -> None:
         """Queue ``send``, merging with backlogged work where possible:
         probe batches for the same owner fuse (keys deduplicated), and
-        lookup traversals fuse into one shared round — so backpressure
-        grows batches instead of queue length.  Per-probe sends never
-        merge.  A merge that brings in an older query moves the fused
-        entry forward."""
+        lookup traversals from the origin fuse into one shared round — so
+        backpressure grows batches instead of queue length.  Per-probe
+        sends and lookup retries never merge.  A merge that brings in an
+        older query moves the fused entry forward."""
         if self.batched:
             for held in self._backlog:
                 entry = held[2]
                 if type(entry) is not type(send):
                     continue
                 if isinstance(send, _PendingLookup):
-                    entry.waiters.extend(send.waiters)
+                    if send.frontier or entry.frontier:
+                        continue
+                    entry.participants.extend(send.participants)
                 else:
                     if entry.owner != send.owner:
                         continue
@@ -555,22 +568,19 @@ class _OriginDispatcher:
             _grant_from_oracle(network, waiters)
             return
         if self.batched:
-            self._submit(_PendingLookup(waiters=waiters))
+            self._submit(_PendingLookup(waiters))
             return
-        # The per-probe policy: every key routes alone; the ask's grant
-        # sums its keys' traversals.
+        # The per-probe policy: every key routes alone; the ask sums its
+        # keys' traversals.
         for waiter in waiters:
-            parts = [_LookupWaiter([key_id], waiter.since)
-                     for key_id in waiter.key_ids]
-            all_of([part.future for part in parts]).add_done_callback(
-                lambda done, waiter=waiter:
-                    waiter.future.resolve(_merge_grants(done.value)))
-            for part in parts:
-                self._submit(_PendingLookup(waiters=[part]))
+            waiter.remaining = len(waiter.key_ids)
+            for key_id in waiter.key_ids:
+                self._submit(_PendingLookup([waiter],
+                                            {self.origin: [key_id]}))
 
     def _launch_lookup(self, send: _PendingLookup) -> None:
         network = self.runtime.network
-        waiters = send.waiters
+        waiters = send.participants
         if not network.ring.contains(self.origin):
             # The origin departed while the traversal waited for a
             # window slot: resolve via the oracle and release the slot.
@@ -579,30 +589,28 @@ class _OriginDispatcher:
             _grant_from_oracle(network, waiters)
             self._drain_backlog()
             return
-        union = list(dict.fromkeys(key_id for waiter in waiters
-                                   for key_id in waiter.key_ids))
         sent_at = network.simulator.now
-        proc = network.simulator.spawn(
-            network.ring.lookup_many_async(self.origin, union),
+        proc = network.simulator.spawn(network.ring.lookup_many_async(
+            self.origin, (key_id for waiter in waiters
+                          for key_id in waiter.key_ids), send.frontier),
             name=f"lookup@{self.origin}")
 
         def on_done(proc: Proc) -> None:
-            if self.cwnd is not None:
-                self.cwnd.on_ack(
-                    network.simulator.now,
-                    rtt_sample=network.simulator.now - sent_at)
+            now = network.simulator.now
             result = proc.result
-            self.retransmissions += result.retransmissions
-            batches = result.message_batches or []
-            sizes = result.message_bytes or []
+            rejected = result.rejected
+            if self.cwnd is not None:
+                if rejected:
+                    self.cwnd.on_drop(now)
+                else:
+                    self.cwnd.on_ack(now, rtt_sample=now - sent_at)
             key_sets = [set(waiter.key_ids) for waiter in waiters]
-            messages = [0] * len(waiters)
-            shares = [0] * len(waiters)
             # Pro-rate each hop message's bytes across the waiters
             # whose keys it carried; every carrier still counts the
             # whole message (the amortized hop cost is a count, the
             # bytes must reconcile with the wire).
-            for batch, size in zip(batches, sizes):
+            for batch, size in zip(result.message_batches,
+                                   result.message_bytes):
                 carriers = [index for index, keys in
                             enumerate(key_sets)
                             if keys.intersection(batch)]
@@ -610,18 +618,50 @@ class _OriginDispatcher:
                     continue
                 split = _split_evenly(size, len(carriers))
                 for slot, index in enumerate(carriers):
-                    messages[index] += 1
-                    shares[index] += split[slot]
-            for index, waiter in enumerate(waiters):
-                owners = {key_id: network.peer_of_ring_node(
-                              result.owners[key_id])
-                          for key_id in waiter.key_ids}
-                waiter.future.resolve(_LookupGrant(
-                    owners=owners, messages=messages[index],
-                    bytes=shares[index]))
+                    waiters[index].messages += 1
+                    waiters[index].bytes += split[slot]
+            resolved = result.owners
+            for waiter in waiters:
+                waiter.owners.update(
+                    (key_id, network.peer_of_ring_node(resolved[key_id]))
+                    for key_id in waiter.key_ids if key_id in resolved)
+            done = waiters
+            if rejected:
+                stopped = {key_id for keys in rejected.values()
+                           for key_id in keys}
+                if self._retransmit(_PendingLookup(
+                        [waiter for waiter in waiters
+                         if not stopped.isdisjoint(waiter.key_ids)],
+                        rejected, send.attempts)):
+                    done = [waiter for waiter in waiters
+                            if stopped.isdisjoint(waiter.key_ids)]
+            for waiter in done:
+                waiter.finish()
             self._drain_backlog()
 
         proc.add_done_callback(on_done)
+
+    def _retransmit(self, send: Union[_PendingLookup, _PendingProbe]
+                    ) -> bool:
+        """Retry ``send``, which a full service queue rejected, unless
+        it has spent ``congestion_max_retransmits`` (then False).  With
+        the window, the retry re-enters the window-paced queue after one
+        smoothed RTT; without it (E8's open loop) the delay doubles from
+        ``congestion_retransmit_timeout`` up to :data:`_MAX_BACKOFF`
+        timeouts."""
+        network = self.runtime.network
+        config = network.config
+        if send.attempts >= config.congestion_max_retransmits:
+            return False
+        send.attempts += 1
+        self.retransmissions += 1
+        for waiter in send.participants:
+            waiter.retransmissions += 1
+        delay = (self.cwnd.srtt if self.cwnd is not None else
+                 config.congestion_retransmit_timeout
+                 * min(2.0 ** (send.attempts - 1), _MAX_BACKOFF))
+        network.simulator.schedule(delay, lambda: self._submit(send))
+        return True
 
     # -- probes ---------------------------------------------------------
 
@@ -700,46 +740,22 @@ class _OriginDispatcher:
             lambda resolved: self._on_probe_outcome(send, resolved.value))
 
     def _on_probe_outcome(self, send: _PendingProbe, outcome) -> None:
-        network = self.runtime.network
-        config = network.config
-        now = network.simulator.now
+        now = self.runtime.network.simulator.now
         if outcome.ok and outcome.reply is not None:
             if self.cwnd is not None:
                 self.cwnd.on_ack(now, rtt_sample=outcome.rtt)
             self._deliver(send, send.items(outcome.reply.payload),
                           request_bytes=send.sent_bytes,
                           reply_bytes=outcome.reply_bytes)
-        elif (outcome.status == "overflow"
-                and send.attempts < config.congestion_max_retransmits):
-            # The owner's service queue rejected the probe: congestion,
-            # not churn — retransmit.  With the AIMD window the drop
-            # halves the window (at most once per RTT) and the retry
-            # re-enters the window-paced queue after one smoothed RTT —
-            # an immediate retry would hit the same still-full queue.
-            # Without the window: blind timeout retransmission, the
-            # open-loop behaviour whose collapse E8 measures.
-            if self.cwnd is not None:
-                self.cwnd.on_drop(now)
-            self.retransmissions += 1
-            for waiter in send.participants:
-                waiter.retransmissions += 1
-            send.attempts += 1
-            if self.cwnd is not None:
-                backoff = (self.cwnd.srtt if self.cwnd.srtt > 0
-                           else config.congestion_retransmit_timeout)
-                network.simulator.schedule(
-                    backoff, lambda: self._submit(send))
-            else:
-                network.simulator.schedule(
-                    config.congestion_retransmit_timeout,
-                    lambda: self._transmit_probe(send))
         else:
-            # Churn drop, timeout, or retransmission budget exhausted:
-            # surfaced as dropped probes.
             if self.cwnd is not None:
                 self.cwnd.on_drop(now)
-            self._deliver(send, None, request_bytes=send.sent_bytes,
-                          reply_bytes=0)
+            if not (outcome.status == "overflow"
+                    and self._retransmit(send)):
+                # Churn drop, timeout, or retransmission budget spent:
+                # surfaced as dropped probes.
+                self._deliver(send, None, request_bytes=send.sent_bytes,
+                              reply_bytes=0)
         self._drain_backlog()
 
     def _deliver(self, send: _PendingProbe, items: Optional[List[Dict]],
@@ -805,19 +821,10 @@ def _grant_from_oracle(network: "AlvisNetwork",
     with zero traffic: nothing routes from it any more, and replies to
     it would be dropped, so its queries wind down as dropped probes."""
     for waiter in waiters:
-        owners = {key_id: network.owner_peer_of_key(key_id)
-                  for key_id in waiter.key_ids}
-        waiter.future.resolve(_LookupGrant(owners=owners, messages=0,
-                                           bytes=0))
-
-
-def _merge_grants(grants: List[_LookupGrant]) -> _LookupGrant:
-    owners: Dict[int, int] = {}
-    for grant in grants:
-        owners.update(grant.owners)
-    return _LookupGrant(owners=owners,
-                        messages=sum(grant.messages for grant in grants),
-                        bytes=sum(grant.bytes for grant in grants))
+        for key_id in waiter.key_ids:
+            if key_id not in waiter.owners:
+                waiter.owners[key_id] = network.owner_peer_of_key(key_id)
+        waiter.finish()
 
 
 def _add_bytes(bucket: Dict[str, int], kind: str, nbytes: int) -> None:
@@ -1022,11 +1029,15 @@ class AsyncQueryRuntime:
                     owners_by_id.update(resolved)
                 assignments = []
                 for key in misses:
-                    owner = owners_by_id[key.key_id]
+                    owner = owners_by_id.get(key.key_id)
+                    if owner is None:       # lookup retries spent
+                        results[key] = (False, None, True)
+                        continue
                     owners[key] = owner
                     assignments.append((key, owner))
-                probe_future = self.dispatcher(origin).probe(
-                    assignments, job.trace.started_at)
+                if assignments:
+                    probe_future = self.dispatcher(origin).probe(
+                        assignments, job.trace.started_at)
             if (config.pipeline_levels and depth + 1 < len(levels)):
                 candidates = [key for key in levels[depth + 1]
                               if key not in excluded]
@@ -1038,7 +1049,7 @@ class AsyncQueryRuntime:
                 trace.retransmissions += waiter.retransmissions
                 for kind, nbytes in waiter.bytes_by_kind.items():
                     self._charge(trace, kind, nbytes)
-                for key in misses:
+                for key, _owner in waiter.assignments:
                     found, postings, dropped = waiter.results[key]
                     results[key] = (found, postings, dropped)
                     if not dropped:
@@ -1062,19 +1073,21 @@ class AsyncQueryRuntime:
         The origin's key->owner cache applies exactly as in
         :meth:`AlvisNetwork.lookup_owners` (both go through
         :meth:`AlvisNetwork.cached_owners`); returns ``{key_id: owner
-        peer}`` and charges the trace for the hop messages that carried
-        this query's keys.
+        peer}`` — without the keys given up on after rejected hops — and
+        charges the trace for the hop messages that carried this query's
+        keys and the retries they took.
         """
         trace = job.trace
         owners, misses, remember = self.network.cached_owners(job.origin,
                                                               key_ids)
         if misses:
-            grant = yield self.dispatcher(job.origin).lookup(
+            asked = yield self.dispatcher(job.origin).lookup(
                 misses, job.trace.started_at)
-            trace.lookup_hops += grant.messages
-            self._charge(trace, protocol.LOOKUP_HOP, grant.bytes)
-            remember(grant.owners)
-            owners.update(grant.owners)
+            trace.lookup_hops += asked.messages
+            trace.retransmissions += asked.retransmissions
+            self._charge(trace, protocol.LOOKUP_HOP, asked.bytes)
+            remember(asked.owners)
+            owners.update(asked.owners)
         return owners
 
     def _launch_prefetch(self, job: QueryJob,

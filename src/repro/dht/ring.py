@@ -49,7 +49,7 @@ class LookupRound:
     owners: Dict[int, int]          #: key id -> owning node id
     messages: int                   #: routed hop messages for the batch
     #: key id -> the ``LookupHop`` messages that carried it (its path
-    #: length on a walk without churn or retransmission).
+    #: length on a walk without churn or rejected hops).
     per_key_hops: Dict[int, int]
     #: Key ids carried by each hop message, in send order — lets callers
     #: that share one round across several queries attribute messages to
@@ -59,10 +59,10 @@ class LookupRound:
     #: Wire size of each hop message (0 on a ring without a transport),
     #: aligned with ``message_batches``.
     message_bytes: Optional[List[int]] = None
-    #: Hop messages re-sent after a service-queue overflow (async path
-    #: with the transport's congestion model active); already included
-    #: in ``messages``/``message_batches``.
-    retransmissions: int = 0
+    #: Keys stopped by a hop a full service queue rejected, by the node
+    #: that sent it: the frontier a retry resumes from.  Empty from an
+    #: async walk nothing rejected; ``None`` from the synchronous walk.
+    rejected: Optional[Dict[int, List[int]]] = None
 
     @property
     def total_hops(self) -> int:
@@ -320,7 +320,8 @@ class DHTRing:
     #: entry-point table names it, and goes together with that entry.
     lookup = lookup_many
 
-    def lookup_many_async(self, source_id: int, key_ids: Iterable[int]):
+    def lookup_many_async(self, source_id: int, key_ids: Iterable[int],
+                          frontier: Optional[Dict[int, List[int]]] = None):
         """The event-kernel delivery of :meth:`lookup_many`'s round step.
 
         A generator to be driven by :meth:`repro.sim.events.Simulator.spawn`
@@ -330,6 +331,9 @@ class DHTRing:
         *waits* for their delivery before advancing the frontier, so
         lookups from different queries genuinely interleave in virtual
         time.  Over a fixed membership both walks route every key alike.
+        A ``frontier`` (``{node: keys}``, e.g. an earlier round's
+        ``rejected``) starts the walk there instead of ``key_ids`` at
+        the source.
 
         Churn mid-lookup is handled gracefully instead of raising:
 
@@ -341,38 +345,33 @@ class DHTRing:
           ownership oracle for its keys — the subsequent probe to that
           owner will surface the drop;
         * keys stranded at a node that itself departed restart from the
-          source, or fall back to the oracle when the source is gone;
-        * a hop dropped by a *full service queue* (``"overflow"`` — the
-          transport's congestion model, not churn) is retransmitted on
-          the next round, after an exponentially growing backoff (an
-          immediate retry would hit the same still-full queue); a
-          generous per-lookup retry budget bounds the pathological
-          case, beyond which the oracle answers.
+          source, or fall back to the oracle when the source is gone.
+
+        A hop rejected by a *full service queue* (``"overflow"``,
+        congestion rather than churn) is not retried: its keys stop at
+        the sending node and come back in ``rejected``, for the caller's
+        retransmission policy.
 
         Returns (via ``StopIteration`` / proc result) a
-        :class:`LookupRound` with ``message_batches`` and
-        ``message_bytes`` populated.
+        :class:`LookupRound` with ``message_batches``,
+        ``message_bytes`` and ``rejected`` populated.
         """
         if source_id not in self._members:
             raise KeyError(f"source node {source_id} not present")
         transport = self.transport
-        pending = sorted(set(key_ids))
+        if frontier is None:
+            frontier = {source_id: sorted(set(key_ids))}
         owners: Dict[int, int] = {}
-        per_key_hops: Dict[int, int] = {key_id: 0 for key_id in pending}
+        per_key_hops = {key_id: 0 for keys in frontier.values()
+                        for key_id in keys}
         message_batches: List[List[int]] = []
         message_bytes: List[int] = []
-        frontier: Dict[int, List[int]] = {source_id: pending}
+        rejected: Dict[int, List[int]] = {}
         rounds = 0
-        retransmissions = 0
-        consecutive_overflows = 0
-        #: Overflow-retry allowance: rounds spent retransmitting hops a
-        #: full service queue rejected must not look like routing
-        #: inconsistency.
-        retry_budget = 64
         max_rounds = 2 * ID_BITS + self.size
         while frontier:
             rounds += 1
-            if rounds > max_rounds + retransmissions:
+            if rounds > max_rounds:
                 raise RuntimeError(f"lookup exceeded {max_rounds} rounds; "
                                    "routing is inconsistent")
             # Routed over the membership as it is now: it may have
@@ -399,20 +398,13 @@ class DHTRing:
             if futures:
                 yield all_of(futures)
             next_frontier: Dict[int, List[int]] = {}
-            overflow_rtts: List[float] = []
             for future, node_id, next_id, batch in sends:
                 if future is not None and not future.value.ok:
                     if (future.value.status == "overflow"
-                            and node_id in self._members
-                            and retry_budget > 0):
-                        # Congestion, not churn: the hop was rejected by
-                        # a full service queue — retransmit it from the
-                        # same node on the next round.
-                        retry_budget -= 1
-                        retransmissions += 1
-                        overflow_rtts.append(future.value.rtt)
-                        next_frontier.setdefault(node_id,
-                                                 []).extend(batch)
+                            and node_id in self._members):
+                        # Congestion, not churn: the keys wait at the
+                        # sender for the caller's retransmission.
+                        rejected.setdefault(node_id, []).extend(batch)
                     elif self.contains(next_id):
                         # Half-dead: in the ring but unreachable — the
                         # oracle owner is the best answer we can route to.
@@ -428,18 +420,8 @@ class DHTRing:
                             owners[key_id] = self.successor_of(key_id)
                 else:
                     next_frontier.setdefault(next_id, []).extend(batch)
-            if overflow_rtts:
-                # Back off before the retry round — exponentially, so
-                # repeated rejections from a saturated node thin the
-                # retry stream instead of hammering it.
-                consecutive_overflows += 1
-                yield min(1.0, max(overflow_rtts)
-                          * (2.0 ** (consecutive_overflows - 1)))
-            else:
-                consecutive_overflows = 0
             frontier = next_frontier
         return LookupRound(owners=owners, messages=len(message_batches),
                            per_key_hops=per_key_hops,
                            message_batches=message_batches,
-                           message_bytes=message_bytes,
-                           retransmissions=retransmissions)
+                           message_bytes=message_bytes, rejected=rejected)

@@ -3,12 +3,12 @@
 One origin submits an open Poisson stream of one single-key query, so
 under the per-probe policy (``batch_lookups=False``) every query is one
 lookup plus one ``ProbeKey`` and the key's owner, a bounded service
-queue, is the bottleneck.  With ``congestion_control`` off the origin
-retransmits overflow drops blindly; with it on, the per-origin AIMD
-window (the NCA'06 controller the paper integrates) paces them.  Both
-cover the probe only: a rejected ``LookupHop`` is retried on the ring's
-own fixed budget (``DHTRing.lookup_many_async``: up to 64 retries,
-backoff capped at 1 s), outside ``congestion_retransmit_timeout``.
+queue, is the bottleneck.  Every request the owner rejects, lookup hop
+or probe, is retried by the origin's dispatch queue under
+``congestion_max_retransmits``.  With ``congestion_control`` off the
+retries are blind, after a doubling ``congestion_retransmit_timeout``;
+with it on, the per-origin AIMD window (the NCA'06 controller the paper
+integrates) counts each rejection as a drop and paces them.
 """
 
 from __future__ import annotations

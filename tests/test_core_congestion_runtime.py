@@ -140,7 +140,6 @@ class TestSaturatedDispatch:
         assert dispatcher.cwnd.decreases > 0
         # Decrease is per congestion event, never per drop.
         assert dispatcher.cwnd.decreases <= dispatcher.cwnd.drops
-        assert len(dispatcher.cwnd.trajectory) > 0
 
     def test_window_guard_seeded_before_first_ack(self):
         # Regression: without an RTT seed the once-per-RTT decrease
@@ -186,6 +185,160 @@ class TestSaturatedDispatch:
         assert network.transport.queue_drops_total() > 0
         assert network.runtime.retransmissions() > 0
         assert all(job.trace.dropped_count == 0 for job in jobs)
+
+
+# ----------------------------------------------------------------------
+# A rejected LookupHop takes the dispatcher's one retransmit path
+# ----------------------------------------------------------------------
+
+#: A single-term query: one lookup, one probe.
+HOT_TERM = ["peer"]
+
+
+def reject_next_arrivals(monkeypatch, network, peer, count):
+    """Make ``peer``'s service queue reject its next ``count`` arrivals
+    as a full queue would (each counted as a drop and answered by an
+    ``"overflow"`` nack), then serve normally."""
+    target = network.transport._service_queue_for(peer)
+    serve = type(target).offer
+    left = [count]
+
+    def offer(queue, task, on_overflow):
+        if queue is target and left[0] > 0:
+            left[0] -= 1
+            queue.arrived += 1
+            queue.dropped += 1
+            on_overflow()
+            return
+        serve(queue, task, on_overflow)
+    monkeypatch.setattr(type(target), "offer", offer)
+
+
+def hop_test_network(**overrides):
+    """An 8-peer network whose service queues never fill on their own,
+    the hot key's owner, and an origin at least two hops from it."""
+    settings = dict(batch_lookups=True, service_rate=1000.0,
+                    queue_capacity=16)
+    settings.update(overrides)
+    network = AlvisNetwork(num_peers=8, config=AlvisConfig(**settings),
+                           seed=42)
+    network.distribute_documents(sample_documents())
+    network.build_index(mode="hdk")
+    key_id = Key(HOT_TERM).key_id
+    owner = network.owner_peer_of_key(key_id)
+    origin, path = next(
+        (peer, hops) for peer in network.peer_ids()
+        for hops in [network.ring.lookup_many(peer, [key_id])
+                     .per_key_hops[key_id]] if hops >= 2)
+    return network, owner, origin, path
+
+
+class TestHopRejection:
+    """The owner's queue rejects the lookup's last ``LookupHop``, sent by
+    a node other than the origin: the window sees the drop, the
+    dispatcher retries it under ``congestion_max_retransmits``, and a
+    spent budget is a dropped probe, never an oracle owner."""
+
+    def query(self, monkeypatch, rejections, **overrides):
+        network, owner, origin, path = hop_test_network(**overrides)
+        reject_next_arrivals(monkeypatch, network, owner, rejections)
+        results, trace = network.query(origin, HOT_TERM)
+        return network, origin, path, results, trace
+
+    def reference(self, **overrides):
+        network, _owner, origin, _path = hop_test_network(**overrides)
+        return network.query(origin, HOT_TERM)
+
+    def test_rejected_hop_reaches_window_and_is_resubmitted(
+            self, monkeypatch):
+        network, owner, origin, _path = hop_test_network(
+            congestion_control=True)
+        reject_next_arrivals(monkeypatch, network, owner, 1)
+        dispatcher = network.runtime.dispatcher(origin)
+        submitted = []
+        submit = dispatcher._submit
+
+        def record(send):
+            submitted.append(type(send).__name__)
+            submit(send)
+        dispatcher._submit = record
+        results, trace = network.query(origin, HOT_TERM)
+        assert dispatcher.cwnd.drops == 1
+        assert submitted == ["_PendingLookup", "_PendingLookup",
+                             "_PendingProbe"]
+        assert trace.dropped_count == 0
+        reference_results, _trace = self.reference(congestion_control=True)
+        assert doc_ids(results) == doc_ids(reference_results)
+
+    @pytest.mark.parametrize("controlled", [False, True],
+                             ids=["open", "aimd"])
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["per-probe", "batched"])
+    def test_lookup_retransmission_in_trace(self, monkeypatch, controlled,
+                                            batched):
+        network, _origin, _path, results, trace = self.query(
+            monkeypatch, 1, congestion_control=controlled,
+            batch_lookups=batched)
+        assert trace.retransmissions == 1
+        assert network.runtime.retransmissions() == 1
+        assert trace.dropped_count == 0
+        assert network.transport.queue_drops_total() == 1
+        reference_results, _trace = self.reference(
+            congestion_control=controlled, batch_lookups=batched)
+        assert doc_ids(results) == doc_ids(reference_results)
+
+    @pytest.mark.parametrize("controlled", [False, True],
+                             ids=["open", "aimd"])
+    def test_spent_budget_drops_probe_not_oracle(self, monkeypatch,
+                                                 controlled):
+        _network, _origin, _path, results, trace = self.query(
+            monkeypatch, 1, congestion_control=controlled,
+            congestion_max_retransmits=0)
+        assert trace.dropped_count == 1
+        assert results == []
+        # The owner was never asked: no probe went out.
+        assert "ProbeBatch" not in trace.bytes_by_kind
+        assert trace.retransmissions == 0
+
+    def test_retry_resumes_at_rejecting_node(self, monkeypatch):
+        _network, _origin, path, _results, trace = self.query(
+            monkeypatch, 1, congestion_control=True)
+        # The routed path plus the one resent hop, not a second walk
+        # from the origin.
+        assert trace.lookup_hops == path + 1
+
+    def test_ring_returns_rejected_frontier_and_resumes(self,
+                                                       monkeypatch):
+        network, owner, origin, path = hop_test_network()
+        key_id = Key(HOT_TERM).key_id
+        reject_next_arrivals(monkeypatch, network, owner, 1)
+        simulator = network.simulator
+        walk = simulator.spawn(network.ring.lookup_many_async(origin,
+                                                              [key_id]))
+        simulator.run()
+        stopped = walk.result
+        assert stopped.owners == {}
+        assert stopped.messages == path
+        [(sender, keys)] = stopped.rejected.items()
+        assert sender != origin and keys == [key_id]
+        resumed = simulator.spawn(network.ring.lookup_many_async(
+            origin, [key_id], frontier=stopped.rejected))
+        simulator.run()
+        assert resumed.result.owners == {key_id: owner}
+        assert resumed.result.messages == 1
+        assert resumed.result.rejected == {}
+
+    def test_open_loop_backoff_doubles_up_to_cap(self, monkeypatch):
+        # Four rejections without the window: the retries wait 1, 2, 4
+        # and 4 (the cap) retransmit timeouts.
+        _network, _origin, _path, results, trace = self.query(
+            monkeypatch, 4)
+        _reference_results, reference = self.reference()
+        timeout = AlvisConfig().congestion_retransmit_timeout
+        assert trace.retransmissions == 4
+        assert trace.dropped_count == 0
+        waited = trace.latency - reference.latency
+        assert 11 * timeout <= waited < 15 * timeout
 
 
 # ----------------------------------------------------------------------
@@ -413,18 +566,9 @@ class TestCongestionWindow:
         window.on_ack(now=0.0, rtt_sample=0.4)
         assert 0.2 < window.srtt < 0.4                # smoothed
 
-    def test_trajectory_recorded(self):
-        window = CongestionWindow(initial=2.0, initial_rtt=0.1)
-        window.on_send()
-        window.on_ack(now=1.0)
-        window.on_send()
-        window.on_drop(now=2.0)
-        times = [time for time, _w in window.trajectory]
-        assert times == [1.0, 2.0]
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            CongestionWindow(initial=0.5, min_window=1.0)
+            CongestionWindow(initial=0.5)     # below the 1.0 floor
         with pytest.raises(ValueError):
             CongestionWindow(initial=8.0, max_window=4.0)
 

@@ -420,7 +420,7 @@ class TestAsyncWalkMatchesSync:
         assert walked.per_key_hops == routed.per_key_hops
         assert walked.messages == routed.messages == \
             len(walked.message_batches) > 0
-        assert walked.retransmissions == 0
+        assert walked.rejected == {}
         # Accounted iff the ring has a transport.
         assert walked.message_bytes == [
             HOP_BATCH_BASE_BYTES + HOP_KEY_BYTES * len(batch)
