@@ -644,10 +644,11 @@ class _OriginDispatcher:
     def _retransmit(self, send: Union[_PendingLookup, _PendingProbe]
                     ) -> bool:
         """Retry ``send``, which a full service queue rejected, unless
-        it has spent ``congestion_max_retransmits`` (then False).  With
-        the window, the retry re-enters the window-paced queue after one
-        smoothed RTT; without it (E8's open loop) the delay doubles from
-        ``congestion_retransmit_timeout`` up to :data:`_MAX_BACKOFF`
+        it has spent ``congestion_max_retransmits`` (then False).  The
+        retry waits, as an immediate one would hit the same still-full
+        queue: with the window, one smoothed RTT before re-entering the
+        window-paced queue; without it (E8's open loop), a delay doubling
+        from ``congestion_retransmit_timeout`` up to :data:`_MAX_BACKOFF`
         timeouts."""
         network = self.runtime.network
         config = network.config
